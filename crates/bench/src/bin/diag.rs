@@ -1,6 +1,6 @@
 //! Per-trace prefetch diagnostics (development tool).
 use pmp_bench::prefetchers::PrefetcherKind;
-use pmp_bench::runner::{run_trace, RunConfig};
+use pmp_bench::runner::{run_cell, CellSpec, RunConfig};
 use pmp_traces::{catalog, TraceScale};
 use pmp_types::CacheLevel;
 
@@ -9,10 +9,11 @@ fn main() {
     let all = catalog();
     let spec = all.iter().find(|s| s.name == name).expect("trace name");
     let cfg = RunConfig { scale: TraceScale::Small, ..RunConfig::default() };
-    let base = run_trace(spec, &PrefetcherKind::None, &cfg);
+    let cell = CellSpec::Synthetic(spec.clone());
+    let base = run_cell(&cell, &PrefetcherKind::None, &cfg).expect("baseline cell");
     println!("baseline ipc={:.3} mpki={:.1} dram={}", base.result.ipc(), base.result.stats.llc_mpki(), base.result.stats.dram_requests);
     for kind in [PrefetcherKind::DsPatch, PrefetcherKind::Bingo, PrefetcherKind::SppPpf, PrefetcherKind::Pythia, PrefetcherKind::Pmp] {
-        let o = run_trace(spec, &kind, &cfg);
+        let o = run_cell(&cell, &kind, &cfg).expect("prefetcher cell");
         let s = &o.result.stats;
         print!("{:8} nipc={:.3} issued={} adm={} drop={} redun={} dram={}", kind.label(), o.result.ipc()/base.result.ipc(), s.pf_issued, s.pf_admitted, s.pf_dropped, s.pf_redundant, s.dram_requests);
         for l in CacheLevel::ALL {

@@ -157,8 +157,8 @@ fn main() {
         telemetry::phase("fault_injection");
         eprintln!("injecting two faulty cells (expected to fail in isolation)...");
         // Cell 1: a prefetcher that panics partway through the run.
-        match pmp_bench::runner::run_trace_checked(
-            &specs[0],
+        match run_cell(
+            &CellSpec::Synthetic(specs[0].clone()),
             &PrefetcherKind::FaultyPanicAfter(10_000),
             &cfg,
         ) {

@@ -172,6 +172,7 @@ pub fn fig13(scale: TraceScale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_cell;
 
     #[test]
     fn classification_covers_catalog() {
@@ -191,10 +192,9 @@ mod tests {
             system: SystemConfig::quad_core(),
             ..RunConfig::default()
         };
-        let base = crate::runner::run_mix_checked(&mix, &PrefetcherKind::None, &cfg)
-            .expect("baseline mix");
-        let with = crate::runner::run_mix_checked(&mix, &PrefetcherKind::Pmp, &cfg)
-            .expect("pmp mix");
+        let mix = CellSpec::Mix(Box::new(mix));
+        let base = run_cell(&mix, &PrefetcherKind::None, &cfg).expect("baseline mix");
+        let with = run_cell(&mix, &PrefetcherKind::Pmp, &cfg).expect("pmp mix");
         let nipc = mix_ipc(&with) / mix_ipc(&base);
         assert!(mix_ipc(&base) > 0.0);
         assert!(nipc > 0.1, "nipc = {nipc}");

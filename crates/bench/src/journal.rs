@@ -168,27 +168,19 @@ impl Journal {
         Ok((journal, info))
     }
 
-    /// The journaled entry for `key`, if that cell already completed.
-    pub fn lookup(&mut self, key: &str) -> Option<JournalEntry> {
-        let found = self.entries.get(key).cloned();
-        if found.is_some() {
-            self.hits += 1;
-        }
-        found
+    /// Whether all of `keys` are journaled, without counting a resume
+    /// hit. Cost-model peeks (the scheduler asks "would this cell
+    /// resume?" to order work) must not inflate the resumed tally.
+    pub fn contains_all(&self, keys: &[String]) -> bool {
+        keys.iter().all(|k| self.entries.contains_key(k))
     }
 
-    /// Whether `key` is journaled, without counting a resume hit.
-    /// Cost-model peeks (the scheduler asks "would this cell resume?"
-    /// to order work) must not inflate the resumed tally.
-    pub fn contains(&self, key: &str) -> bool {
-        self.entries.contains_key(key)
-    }
-
-    /// The journaled entries for *all* of `keys`, or `None` if any is
-    /// missing. Multi-core mix cells journal one entry per core but are
-    /// only resumable as a whole; a partial hit re-runs the cell and
-    /// counts no hits (so [`Journal::hits`] never inflates the resumed
-    /// tally with work that was re-simulated anyway).
+    /// The journaled entries for *all* of `keys` — one key for a
+    /// single-core cell, one per core for a mix — or `None` if any is
+    /// missing. A mix is only resumable as a whole; a partial hit
+    /// re-runs the cell and counts no hits (so [`Journal::hits`] never
+    /// inflates the resumed tally with work that was re-simulated
+    /// anyway).
     pub fn lookup_all(&mut self, keys: &[String]) -> Option<Vec<JournalEntry>> {
         let found: Option<Vec<JournalEntry>> =
             keys.iter().map(|k| self.entries.get(k).cloned()).collect();
@@ -301,27 +293,16 @@ pub fn global_active() -> bool {
     global_slot().is_some()
 }
 
-/// Journal lookup for a cell key (None when inactive or missing).
-pub fn global_lookup(key: &str) -> Option<JournalEntry> {
-    global_slot().as_mut().and_then(|j| j.lookup(key))
-}
-
-/// All-or-nothing journal lookup for a group of cell keys (multi-core
-/// mixes). `None` when inactive or when any key is missing.
+/// All-or-nothing journal lookup for a cell's keys. `None` when
+/// inactive or when any key is missing. See [`Journal::lookup_all`].
 pub fn global_lookup_all(keys: &[String]) -> Option<Vec<JournalEntry>> {
     global_slot().as_mut().and_then(|j| j.lookup_all(keys))
 }
 
-/// Non-counting peek: whether `key` is journaled (false when no journal
-/// is installed). See [`Journal::contains`].
-pub fn global_contains(key: &str) -> bool {
-    global_slot().as_ref().is_some_and(|j| j.contains(key))
-}
-
 /// Non-counting peek: whether *all* of `keys` are journaled (false when
-/// no journal is installed).
+/// no journal is installed). See [`Journal::contains_all`].
 pub fn global_contains_all(keys: &[String]) -> bool {
-    global_slot().as_ref().is_some_and(|j| keys.iter().all(|k| j.contains(k)))
+    global_slot().as_ref().is_some_and(|j| j.contains_all(keys))
 }
 
 /// Record a completed cell into the global journal (no-op when
@@ -579,9 +560,9 @@ mod tests {
         let (mut journal, info) = Journal::open(&path, true).expect("open");
         assert_eq!(info.loaded, 1);
         assert_eq!(info.skipped, 0);
-        let got = journal.lookup("compat-cell").expect("old cell resumes");
-        assert_eq!(got.cycles, entry.cycles);
-        assert_eq!(got.wall_ms, 0);
+        let got = journal.lookup_all(&["compat-cell".into()]).expect("old cell resumes");
+        assert_eq!(got[0].cycles, entry.cycles);
+        assert_eq!(got[0].wall_ms, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -632,11 +613,11 @@ mod tests {
         let (mut journal, info) = Journal::open(&path, true).expect("reopen");
         assert_eq!(info.loaded, 2);
         assert_eq!(info.skipped, 0);
-        let a = journal.lookup("cell-a").expect("cell-a journaled");
-        assert_eq!(a.trace, "spec06.mcf_2");
-        let b = journal.lookup("cell-b").expect("cell-b journaled");
-        assert_eq!(b.suite, Suite::Ligra);
-        assert!(journal.lookup("cell-c").is_none());
+        let a = journal.lookup_all(&["cell-a".into()]).expect("cell-a journaled");
+        assert_eq!(a[0].trace, "spec06.mcf_2");
+        let b = journal.lookup_all(&["cell-b".into()]).expect("cell-b journaled");
+        assert_eq!(b[0].suite, Suite::Ligra);
+        assert!(journal.lookup_all(&["cell-c".into()]).is_none());
         assert_eq!(journal.hits(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -662,10 +643,10 @@ mod tests {
     fn contains_peeks_without_counting_hits() {
         let mut journal = Journal::in_memory();
         journal.record("cell-x", sample_entry());
-        assert!(journal.contains("cell-x"));
-        assert!(!journal.contains("cell-y"));
+        assert!(journal.contains_all(&["cell-x".into()]));
+        assert!(!journal.contains_all(&["cell-x".into(), "cell-y".into()]));
         assert_eq!(journal.hits(), 0, "peeks must not count as resumes");
-        assert!(journal.lookup("cell-x").is_some());
+        assert!(journal.lookup_all(&["cell-x".into()]).is_some());
         assert_eq!(journal.hits(), 1);
     }
 
@@ -688,8 +669,7 @@ mod tests {
         journal.record("cell-a", sample_entry());
         journal.record("cell-b", sample_entry());
         // Both cells are still served from memory: the sweep continues.
-        assert!(journal.lookup("cell-a").is_some());
-        assert!(journal.lookup("cell-b").is_some());
+        assert!(journal.lookup_all(&["cell-a".into(), "cell-b".into()]).is_some());
         assert_eq!(journal.dropped_appends(), 2);
         let warning = journal.write_warning().expect("failures must surface");
         assert!(warning.contains("2 append(s)"), "{warning}");

@@ -10,14 +10,15 @@
 //!
 //! ```
 //! use pmp_bench::prefetchers::PrefetcherKind;
-//! use pmp_bench::runner::{run_trace, RunConfig};
+//! use pmp_bench::runner::{run_cell, CellSpec, RunConfig};
 //! use pmp_traces::{catalog, TraceScale};
 //!
-//! let spec = &catalog()[0];
+//! let cell = CellSpec::Synthetic(catalog()[0].clone());
 //! let cfg = RunConfig { scale: TraceScale::Tiny, ..RunConfig::default() };
-//! let base = run_trace(spec, &PrefetcherKind::None, &cfg);
-//! let pmp = run_trace(spec, &PrefetcherKind::Pmp, &cfg);
+//! let base = run_cell(&cell, &PrefetcherKind::None, &cfg)?;
+//! let pmp = run_cell(&cell, &PrefetcherKind::Pmp, &cfg)?;
 //! assert!(base.result.ipc() > 0.0 && pmp.result.ipc() > 0.0);
+//! # Ok::<(), pmp_bench::runner::CellFailure>(())
 //! ```
 
 #![warn(missing_docs)]

@@ -1,20 +1,22 @@
-//! Trace-sweep runner: executes (trace × prefetcher) grids on all
+//! Trace-sweep runner: executes (cell × prefetcher) grids on all
 //! available cores and aggregates normalized IPCs.
 //!
 //! ## Failure model
 //!
-//! Every grid cell runs behind a robustness boundary
-//! ([`run_trace_checked`] / [`run_cell`]): configurations are
-//! pre-flight validated, the simulation runs under the watchdog cycle
-//! budget when [`RunConfig::max_cycles`] is set, and panics anywhere in
-//! the cell (trace generator, prefetcher, simulator) are caught and
-//! converted to a typed [`CellFailure`]. One bad cell therefore costs
-//! exactly one grid gap — reported in the [`SweepSummary`] — instead of
-//! the whole sweep. Completed cells are journaled through
-//! [`crate::journal`] when a journal is active, so interrupted sweeps
-//! resume instead of restarting.
+//! Every grid cell — a catalog trace, an imported trace file, or a
+//! 4-core mix — runs through one pipeline ([`run_cell`]) behind one
+//! robustness boundary: configurations are pre-flight validated, the
+//! simulation runs under the watchdog cycle budget when
+//! [`RunConfig::max_cycles`] is set, and panics anywhere in the cell
+//! (trace generator, prefetcher, simulator) are caught and converted to
+//! a typed [`CellFailure`]. One bad cell therefore costs exactly one
+//! grid gap — reported in the [`SweepSummary`] — instead of the whole
+//! sweep. Completed cells are journaled through [`crate::journal`] when
+//! a journal is active, so interrupted sweeps resume instead of
+//! restarting. The flavours differ only in what [`CellSpec`] supplies:
+//! recipe checks, journal keys, archetype family, and the traces.
 
-use crate::journal;
+use crate::journal::{self, JournalEntry};
 use crate::prefetchers::PrefetcherKind;
 use crate::scheduler;
 use crate::telemetry;
@@ -24,7 +26,7 @@ use pmp_traces::io::read_trace_file;
 use pmp_traces::{Suite, Trace, TraceCache, TraceScale, TraceSpec};
 use pmp_types::HarnessError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -190,13 +192,62 @@ impl CellSpec {
             CellSpec::Mix(mix) => mix.name.clone(),
         }
     }
-}
 
-// ---------------------------------------------------------------------
-// Sweep-telemetry spans: every checked cell reports one CellSpan to the
-// installed observer (no-ops when telemetry is off). The observer only
-// watches — results are bit-identical either way.
-// ---------------------------------------------------------------------
+    /// Recipe checks beyond the system and prefetcher ones every cell
+    /// gets: each synthetic recipe must be valid. Files have none; a
+    /// bad file fails on [`CellSpec::load`].
+    pub(crate) fn validate(&self) -> Result<(), HarnessError> {
+        match self {
+            CellSpec::Synthetic(spec) => spec.validate(),
+            CellSpec::File(_) => Ok(()),
+            CellSpec::Mix(mix) => mix.specs.iter().try_for_each(TraceSpec::validate),
+        }
+    }
+
+    /// Journal keys: one for a single-core cell, one `name#cN` key per
+    /// core for a mix (which resumes only as a whole).
+    pub(crate) fn journal_keys(&self, cfg: &RunConfig, kind: &PrefetcherKind) -> Vec<String> {
+        match self {
+            CellSpec::Mix(mix) => cfg.mix_keys(mix, kind),
+            _ => vec![cfg.cell_key(&self.name(), kind)],
+        }
+    }
+
+    /// Telemetry family: the archetype tag, or `"file"` / `"mix"`.
+    pub(crate) fn family(&self) -> &'static str {
+        match self {
+            CellSpec::Synthetic(spec) => spec.archetype.tag(),
+            CellSpec::File(_) => "file",
+            CellSpec::Mix(_) => "mix",
+        }
+    }
+
+    /// The cell's traces, one per core, through the grid's shared cache
+    /// when one is in play. An unreadable or corrupt file maps to
+    /// [`HarnessError::TraceIo`]; generator panics propagate to the
+    /// caller's isolation boundary.
+    pub(crate) fn load(
+        &self,
+        scale: TraceScale,
+        cache: Option<&TraceCache>,
+    ) -> Result<Vec<Arc<Trace>>, HarnessError> {
+        let synthetic = |spec: &TraceSpec| match cache {
+            Some(cache) => cache.get_synthetic(spec, scale),
+            None => Arc::new(spec.build(scale)),
+        };
+        match self {
+            CellSpec::Synthetic(spec) => Ok(vec![synthetic(spec)]),
+            CellSpec::File(path) => {
+                let trace = match cache {
+                    Some(cache) => cache.get_file(path),
+                    None => read_trace_file(path).map(Arc::new),
+                };
+                trace.map(|t| vec![t]).map_err(|e| HarnessError::trace_io(self.name(), e))
+            }
+            CellSpec::Mix(mix) => Ok(mix.specs.iter().map(synthetic).collect()),
+        }
+    }
+}
 
 /// Map a cell's typed error to its span outcome: pre-flight rejections
 /// (invalid-config, trace-io) never simulated, so they are `Skip`.
@@ -205,52 +256,6 @@ fn error_outcome(error: &HarnessError) -> SpanOutcome {
         "panic" => SpanOutcome::Panic,
         "timeout" => SpanOutcome::Timeout,
         _ => SpanOutcome::Skip,
-    }
-}
-
-/// Span for a cell that failed with `error` after `start`.
-fn failure_span(name: &str, group: &str, family: &str, start: Instant, error: &HarnessError) -> CellSpan {
-    CellSpan {
-        name: name.to_string(),
-        group: group.to_string(),
-        family: family.to_string(),
-        wall_ms: start.elapsed().as_millis() as u64,
-        cycles: 0,
-        instructions: 0,
-        resumed: false,
-        saved_ms: 0,
-        outcome: error_outcome(error),
-    }
-}
-
-/// Span for a journal hit: near-zero wall, `saved_ms` the recorded
-/// cost of the original execution.
-fn resumed_span(name: &str, group: &str, family: &str, start: Instant, saved_ms: u64, cycles: u64, instructions: u64) -> CellSpan {
-    CellSpan {
-        name: name.to_string(),
-        group: group.to_string(),
-        family: family.to_string(),
-        wall_ms: start.elapsed().as_millis() as u64,
-        cycles,
-        instructions,
-        resumed: true,
-        saved_ms,
-        outcome: SpanOutcome::Ok,
-    }
-}
-
-/// Span for an executed, successful cell.
-fn ok_span(name: &str, group: &str, family: &str, wall_ms: u64, cycles: u64, instructions: u64) -> CellSpan {
-    CellSpan {
-        name: name.to_string(),
-        group: group.to_string(),
-        family: family.to_string(),
-        wall_ms,
-        cycles,
-        instructions,
-        resumed: false,
-        saved_ms: 0,
-        outcome: SpanOutcome::Ok,
     }
 }
 
@@ -278,374 +283,200 @@ pub(crate) fn snapshot_file_name(cell: &str, label: &str) -> String {
     format!("{}__{}.pmps", sanitize(cell), sanitize(label))
 }
 
-/// Run one materialised trace under one prefetcher inside the
-/// robustness boundary (panic isolation + optional watchdog), with the
-/// warm-start restore before and the snapshot write after when the
-/// config asks for them.
-fn run_isolated(
-    trace: &Trace,
-    kind: &PrefetcherKind,
-    cfg: &RunConfig,
-    cell_name: &str,
-) -> Result<SimResult, HarnessError> {
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        let mut sys = System::new(cfg.system.clone(), kind.build());
-        if let Some(dir) = &cfg.warm_start {
-            // A missing, foreign, or corrupt snapshot degrades to the
-            // usual cold start: restore_from validates everything and
-            // leaves the fresh prefetcher untouched on any error.
-            let _ = sys.restore_from(&dir.join(snapshot_file_name(cell_name, &kind.label())));
-        }
-        let result = match cfg.max_cycles {
-            Some(budget) => sys.run_bounded(&trace.ops, cfg.scale.warmup_instructions(), budget),
-            None => Ok(sys.run(&trace.ops, cfg.scale.warmup_instructions())),
-        };
-        if result.is_ok() {
-            if let Some(dir) = &cfg.snapshot_dir {
-                // A failed snapshot (disk full, unsupported prefetcher)
-                // must not fail the completed cell; the crash-safe
-                // writer guarantees no torn file either way.
-                let _ = sys.snapshot_to(&dir.join(snapshot_file_name(cell_name, &kind.label())));
-            }
-        }
-        result
-    }));
-    match attempt {
-        Ok(result) => result,
-        Err(payload) => Err(HarnessError::Panic { message: panic_message(payload) }),
-    }
-}
-
-/// Run one trace under one prefetcher.
-///
-/// This is the historical unchecked entry point: no validation, no
-/// panic isolation, no journal. Prefer [`run_trace_checked`] in sweeps.
-pub fn run_trace(spec: &TraceSpec, kind: &PrefetcherKind, cfg: &RunConfig) -> RunOutcome {
-    let trace = spec.build(cfg.scale);
-    let mut sys = System::new(cfg.system.clone(), kind.build());
-    let result = sys.run(&trace.ops, cfg.scale.warmup_instructions());
-    RunOutcome {
-        trace: trace.name,
-        suite: trace.suite,
-        prefetcher: kind.label(),
-        result,
-        per_core: Vec::new(),
-    }
-}
-
-/// Materialise a synthetic trace, through the grid's shared cache when
-/// one is in play.
-fn obtain_synthetic(spec: &TraceSpec, scale: TraceScale, cache: Option<&TraceCache>) -> Arc<Trace> {
-    match cache {
-        Some(cache) => cache.get_synthetic(spec, scale),
-        None => Arc::new(spec.build(scale)),
-    }
-}
-
-/// Run one catalog trace under one prefetcher behind the full
-/// robustness boundary: pre-flight validation, journal reuse, panic
-/// isolation, and the watchdog budget.
+/// Run one cell of any flavour behind the full robustness boundary:
+/// pre-flight validation, journal reuse, panic isolation, and the
+/// watchdog budget.
 ///
 /// # Errors
 ///
 /// Returns a [`CellFailure`] carrying the typed [`HarnessError`] when
 /// the cell cannot produce a result; the caller's sweep continues.
-pub fn run_trace_checked(
-    spec: &TraceSpec,
-    kind: &PrefetcherKind,
-    cfg: &RunConfig,
-) -> CellResult {
-    run_trace_cached(spec, kind, cfg, None)
+pub fn run_cell(cell: &CellSpec, kind: &PrefetcherKind, cfg: &RunConfig) -> CellResult {
+    run_cell_cached(cell, kind, cfg, None)
 }
 
-/// [`run_trace_checked`] with an optional shared trace cache (the grid
-/// scheduler threads one through so each distinct trace builds once).
-pub(crate) fn run_trace_cached(
-    spec: &TraceSpec,
+/// [`run_cell`] with an optional shared trace cache — the scheduler's
+/// per-work-item entry point (each distinct trace builds or decodes
+/// once per grid).
+///
+/// The one cell pipeline every flavour shares: validate, journal
+/// lookup (all-or-nothing over the cell's keys), then load, warm start,
+/// run and snapshot inside a single `catch_unwind`, one journal record
+/// per key, and one telemetry span (no-op when telemetry is off; the
+/// observer only watches, results are bit-identical either way).
+pub(crate) fn run_cell_cached(
+    cell: &CellSpec,
     kind: &PrefetcherKind,
     cfg: &RunConfig,
     cache: Option<&TraceCache>,
 ) -> CellResult {
     let start = Instant::now();
+    let elapsed_ms = || start.elapsed().as_millis() as u64;
+    let name = cell.name();
     let label = kind.label();
-    let family = spec.archetype.tag();
-    telemetry::cell_started(&spec.name);
+    telemetry::cell_started(&name);
+    let span = |wall_ms, outcome, result: Option<&SimResult>, saved_ms: Option<u64>| {
+        telemetry::cell_finished(CellSpan {
+            name: name.clone(),
+            group: label.clone(),
+            family: cell.family().to_string(),
+            wall_ms,
+            cycles: result.map_or(0, |r| r.cycles),
+            instructions: result.map_or(0, |r| r.instructions),
+            resumed: saved_ms.is_some(),
+            saved_ms: saved_ms.unwrap_or(0),
+            outcome,
+        });
+    };
     let fail = |error: HarnessError| {
-        telemetry::cell_finished(failure_span(&spec.name, &label, family, start, &error));
-        Err(CellFailure { trace: spec.name.clone(), prefetcher: label.clone(), error })
+        span(elapsed_ms(), error_outcome(&error), None, None);
+        Err(CellFailure { trace: name.clone(), prefetcher: label.clone(), error })
     };
     // Pre-flight validation comes before the journal: the cell key does
     // not cover archetype parameters, so a journaled cell sharing a
     // name with a now-invalid recipe must still be rejected instead of
     // silently resumed.
-    if let Err(e) = cfg.system.validate() {
+    let valid = cfg.system.validate().and_then(|()| kind.validate());
+    if let Err(e) = valid.and_then(|()| cell.validate()) {
         return fail(e);
     }
-    if let Err(e) = kind.validate() {
-        return fail(e);
-    }
-    if let Err(e) = spec.validate() {
-        return fail(e);
-    }
-    let key = cfg.cell_key(&spec.name, kind);
-    if let Some(entry) = journal::global_lookup(&key) {
-        telemetry::cell_finished(resumed_span(
-            &spec.name,
-            &label,
-            family,
-            start,
-            entry.wall_ms,
-            entry.cycles,
-            entry.instructions,
-        ));
-        return Ok(outcome_from_journal(entry, kind));
-    }
-    // The generator can panic on inputs validation cannot foresee —
-    // keep it inside the isolation boundary too.
-    let trace = match catch_unwind(AssertUnwindSafe(|| obtain_synthetic(spec, cfg.scale, cache))) {
-        Ok(trace) => trace,
-        Err(payload) => {
-            return fail(HarnessError::Panic { message: panic_message(payload) })
-        }
-    };
-    match run_isolated(&trace, kind, cfg, &spec.name) {
-        Ok(result) => {
-            let wall_ms = start.elapsed().as_millis() as u64;
-            telemetry::cell_finished(ok_span(
-                &spec.name,
-                &label,
-                family,
-                wall_ms,
-                result.cycles,
-                result.instructions,
-            ));
-            Ok(complete_cell(&key, trace.name.clone(), trace.suite, kind, result, wall_ms))
-        }
-        Err(error) => fail(error),
-    }
-}
-
-/// Run one imported `.pmpt` trace file behind the robustness boundary.
-/// Corrupt or truncated files degrade to a typed
-/// [`HarnessError::TraceIo`] failure for this cell only.
-///
-/// # Errors
-///
-/// Returns a [`CellFailure`] when the file cannot be read or the run
-/// fails.
-pub fn run_file_checked(
-    path: &std::path::Path,
-    kind: &PrefetcherKind,
-    cfg: &RunConfig,
-) -> CellResult {
-    run_file_cached(path, kind, cfg, None)
-}
-
-/// [`run_file_checked`] with an optional shared trace cache (each
-/// `.pmpt` file decodes once per grid).
-pub(crate) fn run_file_cached(
-    path: &std::path::Path,
-    kind: &PrefetcherKind,
-    cfg: &RunConfig,
-    cache: Option<&TraceCache>,
-) -> CellResult {
-    let start = Instant::now();
-    let name = path.display().to_string();
-    let label = kind.label();
-    telemetry::cell_started(&name);
-    let fail = |error: HarnessError| {
-        telemetry::cell_finished(failure_span(&name, &label, "file", start, &error));
-        Err(CellFailure { trace: name.clone(), prefetcher: label.clone(), error })
-    };
-    // Validation precedes the journal lookup — see run_trace_cached.
-    if let Err(e) = cfg.system.validate() {
-        return fail(e);
-    }
-    if let Err(e) = kind.validate() {
-        return fail(e);
-    }
-    let key = cfg.cell_key(&name, kind);
-    if let Some(entry) = journal::global_lookup(&key) {
-        telemetry::cell_finished(resumed_span(
-            &name,
-            &label,
-            "file",
-            start,
-            entry.wall_ms,
-            entry.cycles,
-            entry.instructions,
-        ));
-        return Ok(outcome_from_journal(entry, kind));
-    }
-    let trace = match cache {
-        Some(cache) => cache.get_file(path),
-        None => read_trace_file(path).map(Arc::new),
-    };
-    let trace = match trace {
-        Ok(trace) => trace,
-        Err(e) => return fail(HarnessError::trace_io(&name, e)),
-    };
-    match run_isolated(&trace, kind, cfg, &name) {
-        Ok(result) => {
-            let wall_ms = start.elapsed().as_millis() as u64;
-            telemetry::cell_finished(ok_span(
-                &name,
-                &label,
-                "file",
-                wall_ms,
-                result.cycles,
-                result.instructions,
-            ));
-            Ok(complete_cell(&key, trace.name.clone(), trace.suite, kind, result, wall_ms))
-        }
-        Err(error) => fail(error),
-    }
-}
-
-/// Run one 4-core mix behind the robustness boundary: pre-flight
-/// validation of the system and every per-core recipe, all-or-nothing
-/// journal reuse (one journal entry per core), panic isolation around
-/// trace generation and the multi-core simulation, and the watchdog
-/// budget via [`MultiCoreSystem::run_bounded`].
-///
-/// The outcome's `result` is the mix aggregate — counters summed
-/// across cores, cycles the makespan (slowest core) — and `per_core`
-/// carries each core's measured window.
-///
-/// # Errors
-///
-/// Returns a [`CellFailure`] carrying the typed [`HarnessError`] when
-/// the mix cannot produce a result; the caller's sweep continues.
-pub fn run_mix_checked(mix: &MixCell, kind: &PrefetcherKind, cfg: &RunConfig) -> CellResult {
-    run_mix_cached(mix, kind, cfg, None)
-}
-
-/// [`run_mix_checked`] with an optional shared trace cache (each of the
-/// mix's per-core traces builds once per grid, shared with single-core
-/// cells over the same spec).
-pub(crate) fn run_mix_cached(
-    mix: &MixCell,
-    kind: &PrefetcherKind,
-    cfg: &RunConfig,
-    cache: Option<&TraceCache>,
-) -> CellResult {
-    let start = Instant::now();
-    let label = kind.label();
-    telemetry::cell_started(&mix.name);
-    let fail = |error: HarnessError| {
-        telemetry::cell_finished(failure_span(&mix.name, &label, "mix", start, &error));
-        Err(CellFailure { trace: mix.name.clone(), prefetcher: label.clone(), error })
-    };
-    // Validation precedes the journal lookup — see run_trace_cached.
-    if let Err(e) = cfg.system.validate() {
-        return fail(e);
-    }
-    if let Err(e) = kind.validate() {
-        return fail(e);
-    }
-    for spec in &mix.specs {
-        if let Err(e) = spec.validate() {
-            return fail(e);
-        }
-    }
-    let keys = cfg.mix_keys(mix, kind);
+    let keys = cell.journal_keys(cfg, kind);
     if let Some(entries) = journal::global_lookup_all(&keys) {
-        // Each core entry carries the whole cell's recorded wall; the
-        // resume saved that cost once, not once per core.
+        // Each core entry of a mix carries the whole cell's recorded
+        // wall; the resume saved that cost once, not once per core.
         let saved_ms = entries.iter().map(|e| e.wall_ms).max().unwrap_or(0);
-        let per_core: Vec<SimStats> = entries.into_iter().map(|e| e.stats).collect();
-        let outcome = mix_outcome(mix, kind, per_core);
-        telemetry::cell_finished(resumed_span(
-            &mix.name,
-            &label,
-            "mix",
-            start,
-            saved_ms,
-            outcome.result.cycles,
-            outcome.result.instructions,
-        ));
+        // `SimResult::prefetcher` is the engine-reported static name;
+        // rebuild it from the kind (cheap relative to the simulation
+        // the journal hit just saved).
+        let outcome = cell_outcome(cell, kind, &entries, kind.build().name());
+        span(elapsed_ms(), SpanOutcome::Ok, Some(&outcome.result), Some(saved_ms));
         return Ok(outcome);
     }
-    let traces: [Arc<Trace>; 4] = match catch_unwind(AssertUnwindSafe(|| {
-        std::array::from_fn(|i| obtain_synthetic(&mix.specs[i], cfg.scale, cache))
-    })) {
-        Ok(traces) => traces,
-        Err(payload) => return fail(HarnessError::Panic { message: panic_message(payload) }),
-    };
-    // ~10 instructions per memory op across the archetypes: measure a
-    // window comparable to the whole trace, as the single-core runs do.
-    let measure = (cfg.scale.mem_ops() as u64) * 10;
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        let prefetchers = (0..mix.specs.len()).map(|_| kind.build()).collect();
-        let mut sys = MultiCoreSystem::new(cfg.system.clone(), prefetchers);
-        if let Some(dir) = &cfg.warm_start {
-            for i in 0..mix.specs.len() {
-                // Per-core restore; any miss degrades that core to cold.
-                let _ = sys.restore_core_from(
-                    i,
-                    &dir.join(snapshot_file_name(&format!("{}#c{i}", mix.name), &label)),
-                );
-            }
-        }
-        let refs: Vec<_> = traces.iter().map(|t| t.ops.as_slice()).collect();
-        let warmup = cfg.scale.warmup_instructions();
-        let result = match cfg.max_cycles {
-            Some(budget) => sys.run_bounded(&refs, warmup, measure, budget),
-            None => Ok(sys.run(&refs, warmup, measure)),
-        };
-        if result.is_ok() {
-            if let Some(dir) = &cfg.snapshot_dir {
-                for i in 0..mix.specs.len() {
-                    let _ = sys.snapshot_core_to(
-                        i,
-                        &dir.join(snapshot_file_name(&format!("{}#c{i}", mix.name), &label)),
-                    );
-                }
-            }
-        }
-        result
+    // The generator can panic on inputs validation cannot foresee, so
+    // loading sits inside the isolation boundary with the run itself.
+    let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<_, HarnessError> {
+        let traces = cell.load(cfg.scale, cache)?;
+        let (per_core, prefetcher) = simulate(&name, &traces, kind, cfg)?;
+        Ok((traces, per_core, prefetcher))
     }));
-    let result = match attempt {
-        Ok(Ok(result)) => result,
+    let (traces, per_core, prefetcher) = match attempt {
+        Ok(Ok(ran)) => ran,
         Ok(Err(error)) => return fail(error),
         Err(payload) => return fail(HarnessError::Panic { message: panic_message(payload) }),
     };
-    let wall_ms = start.elapsed().as_millis() as u64;
-    if journal::global_active() {
-        for (i, key) in keys.iter().enumerate() {
-            journal::global_record(
-                key,
-                journal::JournalEntry {
-                    trace: mix.specs[i].name.clone(),
-                    suite: mix.specs[i].suite,
-                    prefetcher: kind.label(),
-                    instructions: result.cores[i].instructions,
-                    cycles: result.cores[i].cycles,
-                    wall_ms,
-                    outcome: "ok".to_string(),
-                    stats: result.cores[i],
-                },
-            );
-        }
+    let wall_ms = elapsed_ms();
+    let entries: Vec<JournalEntry> = traces
+        .iter()
+        .zip(per_core)
+        .map(|(trace, stats)| JournalEntry {
+            trace: trace.name.clone(),
+            suite: trace.suite,
+            prefetcher: label.clone(),
+            instructions: stats.instructions,
+            cycles: stats.cycles,
+            wall_ms,
+            outcome: "ok".to_string(),
+            stats,
+        })
+        .collect();
+    let outcome = cell_outcome(cell, kind, &entries, prefetcher);
+    span(wall_ms, SpanOutcome::Ok, Some(&outcome.result), None);
+    for (key, entry) in keys.iter().zip(entries) {
+        journal::global_record(key, entry);
     }
-    let outcome = mix_outcome(mix, kind, result.cores);
-    telemetry::cell_finished(ok_span(
-        &mix.name,
-        &label,
-        "mix",
-        wall_ms,
-        outcome.result.cycles,
-        outcome.result.instructions,
-    ));
     Ok(outcome)
 }
 
-/// Fold per-core measured windows into the mix's aggregate outcome.
-fn mix_outcome(mix: &MixCell, kind: &PrefetcherKind, per_core: Vec<SimStats>) -> RunOutcome {
+/// Simulate one cell's traces under `kind`, one core per trace: a
+/// single trace runs on [`System`], a mix on [`MultiCoreSystem`]. Each
+/// core restores learned prefetcher state before the run and snapshots
+/// it after when the config asks (a missing, foreign, or corrupt
+/// snapshot degrades that core to the usual cold start; a failed
+/// snapshot write never fails the completed cell). Returns the per-core
+/// measured windows and the prefetcher's engine name.
+fn simulate(
+    name: &str,
+    traces: &[Arc<Trace>],
+    kind: &PrefetcherKind,
+    cfg: &RunConfig,
+) -> Result<(Vec<SimStats>, &'static str), HarnessError> {
+    let label = kind.label();
+    let snapshot_path = |dir: &Path, core: usize| {
+        let cell = match traces.len() {
+            1 => name.to_string(),
+            _ => format!("{name}#c{core}"),
+        };
+        dir.join(snapshot_file_name(&cell, &label))
+    };
+    let warmup = cfg.scale.warmup_instructions();
+    let budget = cfg.max_cycles.unwrap_or(u64::MAX);
+    let mut prefetchers: Vec<_> = traces.iter().map(|_| kind.build()).collect();
+    let prefetcher = prefetchers[0].name();
+    if let [trace] = traces {
+        let mut sys = System::new(cfg.system.clone(), prefetchers.remove(0));
+        if let Some(dir) = &cfg.warm_start {
+            let _ = sys.restore_from(&snapshot_path(dir, 0));
+        }
+        let result = sys.run_bounded(&trace.ops, warmup, budget)?;
+        if let Some(dir) = &cfg.snapshot_dir {
+            let _ = sys.snapshot_to(&snapshot_path(dir, 0));
+        }
+        return Ok((vec![result.stats], prefetcher));
+    }
+    let mut sys = MultiCoreSystem::new(cfg.system.clone(), prefetchers);
+    if let Some(dir) = &cfg.warm_start {
+        for core in 0..traces.len() {
+            let _ = sys.restore_core_from(core, &snapshot_path(dir, core));
+        }
+    }
+    let refs: Vec<_> = traces.iter().map(|t| t.ops.as_slice()).collect();
+    // ~10 instructions per memory op across the archetypes: measure a
+    // window comparable to the whole trace, as the single-core runs do.
+    let measure = (cfg.scale.mem_ops() as u64) * 10;
+    let result = sys.run_bounded(&refs, warmup, measure, budget)?;
+    if let Some(dir) = &cfg.snapshot_dir {
+        for core in 0..traces.len() {
+            let _ = sys.snapshot_core_to(core, &snapshot_path(dir, core));
+        }
+    }
+    Ok((result.cores, prefetcher))
+}
+
+/// Shape a cell's per-core entries — freshly simulated or resumed from
+/// the journal — into its outcome. A single-core cell is its one
+/// window; a mix is the aggregate (counters summed, cycles the
+/// makespan) with every core's window kept in `per_core`.
+fn cell_outcome(
+    cell: &CellSpec,
+    kind: &PrefetcherKind,
+    entries: &[JournalEntry],
+    prefetcher: &'static str,
+) -> RunOutcome {
+    let per_core: Vec<SimStats> = entries.iter().map(|e| e.stats).collect();
+    let (trace, stats, per_core) = match cell {
+        CellSpec::Mix(mix) => (mix.name.clone(), aggregate(&per_core), per_core),
+        _ => (entries[0].trace.clone(), per_core[0], Vec::new()),
+    };
+    RunOutcome {
+        trace,
+        suite: entries[0].suite,
+        prefetcher: kind.label(),
+        result: SimResult {
+            instructions: stats.instructions,
+            cycles: stats.cycles,
+            stats,
+            prefetcher,
+        },
+        per_core,
+    }
+}
+
+/// Fold per-core measured windows into one: counters summed, cycles
+/// the makespan (the mix is done when its slowest core is).
+fn aggregate(per_core: &[SimStats]) -> SimStats {
     let mut total = SimStats::default();
-    for s in &per_core {
+    for s in per_core {
         total.instructions += s.instructions;
-        // Makespan: the mix is done when its slowest core is.
         total.cycles = total.cycles.max(s.cycles);
         total.pf_issued += s.pf_issued;
         total.pf_admitted += s.pf_admitted;
@@ -657,138 +488,21 @@ fn mix_outcome(mix: &MixCell, kind: &PrefetcherKind, per_core: Vec<SimStats>) ->
             acc.accumulate(lvl);
         }
     }
-    RunOutcome {
-        trace: mix.name.clone(),
-        suite: mix.specs[0].suite,
-        prefetcher: kind.label(),
-        result: SimResult {
-            instructions: total.instructions,
-            cycles: total.cycles,
-            stats: total,
-            prefetcher: kind.build().name(),
-        },
-        per_core,
-    }
-}
-
-/// Run one cell of any flavour.
-///
-/// # Errors
-///
-/// Returns the cell's [`CellFailure`] — see [`run_trace_checked`],
-/// [`run_file_checked`] and [`run_mix_checked`].
-pub fn run_cell(cell: &CellSpec, kind: &PrefetcherKind, cfg: &RunConfig) -> CellResult {
-    run_cell_cached(cell, kind, cfg, None)
-}
-
-/// [`run_cell`] with an optional shared trace cache — the scheduler's
-/// per-work-item entry point.
-pub(crate) fn run_cell_cached(
-    cell: &CellSpec,
-    kind: &PrefetcherKind,
-    cfg: &RunConfig,
-    cache: Option<&TraceCache>,
-) -> CellResult {
-    match cell {
-        CellSpec::Synthetic(spec) => run_trace_cached(spec, kind, cfg, cache),
-        CellSpec::File(path) => run_file_cached(path, kind, cfg, cache),
-        CellSpec::Mix(mix) => run_mix_cached(mix, kind, cfg, cache),
-    }
-}
-
-fn complete_cell(
-    key: &str,
-    trace: String,
-    suite: Suite,
-    kind: &PrefetcherKind,
-    result: SimResult,
-    wall_ms: u64,
-) -> RunOutcome {
-    if journal::global_active() {
-        journal::global_record(
-            key,
-            journal::JournalEntry {
-                trace: trace.clone(),
-                suite,
-                prefetcher: kind.label(),
-                instructions: result.instructions,
-                cycles: result.cycles,
-                wall_ms,
-                outcome: "ok".to_string(),
-                stats: result.stats,
-            },
-        );
-    }
-    RunOutcome { trace, suite, prefetcher: kind.label(), result, per_core: Vec::new() }
-}
-
-fn outcome_from_journal(entry: journal::JournalEntry, kind: &PrefetcherKind) -> RunOutcome {
-    let journal::JournalEntry { trace, suite, prefetcher, instructions, cycles, stats, .. } = entry;
-    RunOutcome {
-        trace,
-        suite,
-        prefetcher,
-        result: SimResult {
-            instructions,
-            cycles,
-            stats,
-            // `SimResult::prefetcher` is the engine-reported static
-            // name; rebuild it from the kind (cheap relative to the
-            // simulation the journal hit just saved).
-            prefetcher: kind.build().name(),
-        },
-        per_core: Vec::new(),
-    }
-}
-
-/// Run a set of traces under one prefetcher through the grid scheduler
-/// (each trace is independent), with per-cell isolation and a shared
-/// trace cache.
-pub fn run_traces_checked(
-    specs: &[TraceSpec],
-    kind: &PrefetcherKind,
-    cfg: &RunConfig,
-) -> Vec<CellResult> {
-    telemetry::expect_cells(specs.len());
-    let cells: Vec<CellSpec> = specs.iter().cloned().map(CellSpec::Synthetic).collect();
-    let (cache, _, _) = crate::trace_pool::grid_cache();
-    scheduler::run_product(&cells, std::slice::from_ref(kind), cfg, &cache)
-}
-
-/// Run a set of traces under one prefetcher, parallelised across OS
-/// threads.
-///
-/// This is the strict variant the report generators use: a full grid is
-/// required to render a table, so any cell failure panics with its
-/// diagnosis. Sweeps that should degrade gracefully use
-/// [`run_traces_checked`] and report gaps via [`SweepSummary`].
-///
-/// # Panics
-///
-/// Panics with the typed diagnosis of the first failed cell.
-pub fn run_traces(
-    specs: &[TraceSpec],
-    kind: &PrefetcherKind,
-    cfg: &RunConfig,
-) -> Vec<RunOutcome> {
-    run_traces_checked(specs, kind, cfg)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|f| panic!("sweep requires a full grid; {f}")))
-        .collect()
+    total
 }
 
 /// Run the full `specs × kinds` product through one scheduler pool and
 /// return the outcomes grouped per kind (outer `Vec` in `kinds` order,
-/// inner in `specs` order) — the strict multi-kind counterpart of
-/// [`run_traces`] for report generators that compare several
-/// prefetchers over one trace set. One shared work pool means no
-/// per-kind barrier, and the shared trace cache builds each spec once
-/// for the whole product.
+/// inner in `specs` order) — the strict grid helper for report
+/// generators that compare prefetchers over one trace set. One shared
+/// work pool means no per-kind barrier, and the shared trace cache
+/// builds each spec once for the whole product.
 ///
 /// # Panics
 ///
 /// Panics with the typed diagnosis of the first failed cell (a full
-/// grid is required to render a report).
+/// grid is required to render a report; sweeps that should degrade
+/// gracefully use [`run_grid`] and report gaps via [`SweepSummary`]).
 pub fn run_specs_grid(
     specs: &[TraceSpec],
     kinds: &[PrefetcherKind],
@@ -814,7 +528,7 @@ pub fn run_specs_grid(
 /// every outcome and failure into a [`SweepSummary`].
 ///
 /// The full `cells × kinds` product executes through one shared
-/// work-stealing pool ([`scheduler::run_product`]): cost-aware ordering
+/// worker pool ([`scheduler::run_product`]): cost-aware ordering
 /// (longest-expected-first from the observer's histograms, journaled
 /// cells last), no per-kind barrier, and a per-grid [`TraceCache`] so
 /// each distinct trace is generated or decoded exactly once. Outcomes
@@ -892,14 +606,17 @@ impl SweepSummary {
     }
 }
 
-/// Simple scoped-thread parallel map preserving input order.
+/// Simple scoped-thread parallel map preserving input order — the
+/// crate's one worker pool.
 ///
-/// Results travel over a channel instead of per-slot mutexes, so a
-/// panicking worker cannot poison anything: completed items are
-/// unaffected and the worker's own panic resurfaces (unchanged) once
-/// the scope joins. Callers wanting isolation instead of propagation
-/// wrap `f` in `catch_unwind` — [`run_trace_checked`] does exactly
-/// that.
+/// Workers pull items off a shared cursor in slice order, so a caller
+/// that sorts its items also sets the execution order (the grid
+/// scheduler passes its longest-first order). Results travel over a
+/// channel instead of per-slot mutexes, so a panicking worker cannot
+/// poison anything: completed items are unaffected and the worker's own
+/// panic resurfaces (unchanged) once the scope joins. Callers wanting
+/// isolation instead of propagation wrap `f` in `catch_unwind` —
+/// [`run_cell`] does exactly that.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -1012,30 +729,37 @@ mod tests {
         }
     }
 
+    fn synthetic(index: usize) -> CellSpec {
+        CellSpec::Synthetic(catalog()[index].clone())
+    }
+
     #[test]
     fn run_trace_produces_miss_traffic() {
-        let spec = &catalog()[0];
         let cfg = RunConfig { scale: TraceScale::Tiny, ..RunConfig::default() };
-        let out = run_trace(spec, &PrefetcherKind::None, &cfg);
+        let out = run_cell(&synthetic(0), &PrefetcherKind::None, &cfg).expect("healthy cell");
         assert!(out.result.stats.llc_mpki() > 0.0, "synthetic traces must miss");
     }
 
     #[test]
     fn checked_run_matches_unchecked() {
+        // The pipeline adds isolation and bookkeeping, never simulation:
+        // its result equals a bare System run of the same trace.
         let spec = &catalog()[0];
         let cfg = RunConfig { scale: TraceScale::Tiny, ..RunConfig::default() };
-        let plain = run_trace(spec, &PrefetcherKind::NextLine, &cfg);
+        let trace = spec.build(cfg.scale);
+        let mut sys = System::new(cfg.system.clone(), PrefetcherKind::NextLine.build());
+        let plain = sys.run(&trace.ops, cfg.scale.warmup_instructions());
         let checked =
-            run_trace_checked(spec, &PrefetcherKind::NextLine, &cfg).expect("healthy cell");
-        assert_eq!(plain.result.cycles, checked.result.cycles);
-        assert_eq!(plain.result.stats, checked.result.stats);
+            run_cell(&synthetic(0), &PrefetcherKind::NextLine, &cfg).expect("healthy cell");
+        assert_eq!(plain.cycles, checked.result.cycles);
+        assert_eq!(plain.stats, checked.result.stats);
+        assert_eq!(plain.prefetcher, checked.result.prefetcher);
     }
 
     #[test]
     fn panicking_prefetcher_degrades_to_typed_failure() {
-        let spec = &catalog()[0];
         let cfg = RunConfig { scale: TraceScale::Tiny, ..RunConfig::default() };
-        let failure = run_trace_checked(spec, &PrefetcherKind::FaultyPanicAfter(5), &cfg)
+        let failure = run_cell(&synthetic(0), &PrefetcherKind::FaultyPanicAfter(5), &cfg)
             .expect_err("injected panic must fail the cell");
         assert_eq!(failure.error.kind_tag(), "panic");
         assert!(failure.to_string().contains("injected fault"), "{failure}");
@@ -1043,23 +767,21 @@ mod tests {
 
     #[test]
     fn watchdog_budget_degrades_to_timeout_failure() {
-        let spec = &catalog()[0];
         let cfg = RunConfig {
             scale: TraceScale::Tiny,
             max_cycles: Some(100),
             ..RunConfig::default()
         };
-        let failure = run_trace_checked(spec, &PrefetcherKind::None, &cfg)
+        let failure = run_cell(&synthetic(0), &PrefetcherKind::None, &cfg)
             .expect_err("100 cycles cannot finish a tiny trace");
         assert_eq!(failure.error.kind_tag(), "timeout");
     }
 
     #[test]
     fn invalid_system_config_fails_fast() {
-        let spec = &catalog()[0];
         let mut cfg = RunConfig { scale: TraceScale::Tiny, ..RunConfig::default() };
         cfg.system.l1d.sets = 63;
-        let failure = run_trace_checked(spec, &PrefetcherKind::None, &cfg)
+        let failure = run_cell(&synthetic(0), &PrefetcherKind::None, &cfg)
             .expect_err("broken config must be rejected");
         assert_eq!(failure.error.kind_tag(), "invalid-config");
         assert!(failure.to_string().contains("l1d.sets"), "{failure}");
@@ -1077,13 +799,13 @@ mod tests {
     #[test]
     fn mix_cell_aggregates_cores() {
         let specs: [TraceSpec; 4] = std::array::from_fn(|i| catalog()[i * 7].clone());
-        let mix = MixCell { name: "test-mix".into(), specs };
+        let mix = CellSpec::Mix(Box::new(MixCell { name: "test-mix".into(), specs }));
         let cfg = RunConfig {
             scale: TraceScale::Tiny,
             system: SystemConfig::quad_core(),
             ..RunConfig::default()
         };
-        let out = run_mix_checked(&mix, &PrefetcherKind::None, &cfg).expect("healthy mix");
+        let out = run_cell(&mix, &PrefetcherKind::None, &cfg).expect("healthy mix");
         assert_eq!(out.trace, "test-mix");
         assert_eq!(out.per_core.len(), 4);
         let summed: u64 = out.per_core.iter().map(|s| s.instructions).sum();
@@ -1097,14 +819,14 @@ mod tests {
     #[test]
     fn mix_watchdog_degrades_to_timeout() {
         let specs: [TraceSpec; 4] = std::array::from_fn(|i| catalog()[i].clone());
-        let mix = MixCell { name: "slow-mix".into(), specs };
+        let mix = CellSpec::Mix(Box::new(MixCell { name: "slow-mix".into(), specs }));
         let cfg = RunConfig {
             scale: TraceScale::Tiny,
             system: SystemConfig::quad_core(),
             max_cycles: Some(50),
             ..RunConfig::default()
         };
-        let failure = run_mix_checked(&mix, &PrefetcherKind::None, &cfg)
+        let failure = run_cell(&mix, &PrefetcherKind::None, &cfg)
             .expect_err("50 cycles cannot finish a mix");
         assert_eq!(failure.error.kind_tag(), "timeout");
         assert_eq!(failure.trace, "slow-mix");
@@ -1114,9 +836,8 @@ mod tests {
     fn normalized_ipcs_align() {
         let specs = &catalog()[..2];
         let cfg = RunConfig { scale: TraceScale::Tiny, ..RunConfig::default() };
-        let base = run_traces(specs, &PrefetcherKind::None, &cfg);
-        let next = run_traces(specs, &PrefetcherKind::NextLine, &cfg);
-        let (nipcs, g) = normalized_ipcs(&base, &next);
+        let grid = run_specs_grid(specs, &[PrefetcherKind::None, PrefetcherKind::NextLine], &cfg);
+        let (nipcs, g) = normalized_ipcs(&grid[0], &grid[1]);
         assert_eq!(nipcs.len(), 2);
         assert!(g > 0.0);
     }

@@ -1,17 +1,17 @@
-//! Work-stealing grid scheduler: one shared pool over the full
-//! `cells × kinds` product.
+//! Grid scheduler: one shared pool over the full `cells × kinds`
+//! product.
 //!
 //! The historical `run_grid` ran one `parallel_map` barrier per
 //! prefetcher kind: the slowest cell of kind *k* idled every core
 //! before kind *k+1* could start, and each (cell, kind) pair rebuilt
 //! its trace from scratch. This module replaces that with a single
-//! work pool:
+//! pass:
 //!
 //! * **One queue, no barriers.** Every (cell, kind) pair is a work
-//!   item. Workers pull items off a shared atomic cursor until the
-//!   queue drains, so a slow cell only ever occupies its own worker.
+//!   item, and all of them go through one [`parallel_map`] call, so a
+//!   slow cell only ever occupies its own worker.
 //! * **Cost-aware ordering.** Items are sorted
-//!   longest-expected-first before the cursor opens: expected cost
+//!   longest-expected-first before the pool starts: expected cost
 //!   comes from the installed [`crate::telemetry`] observer's
 //!   per-prefetcher and per-archetype wall-time histograms (mean of
 //!   the two, EWMA fallback), journaled cells cost ~0 (they resume in
@@ -23,11 +23,11 @@
 //! * **Shared trace cache.** Workers thread one [`TraceCache`] through
 //!   the runner's cache-aware cell entry point, so a 125-trace ×
 //!   19-kind grid builds 125 traces, not 2375.
-//! * **Grid-order results.** Results travel over an mpsc channel
-//!   tagged with their grid index (kind-major:
+//! * **Grid-order results.** Results come back in execution order and
+//!   are un-permuted into grid order (kind-major:
 //!   `kind_idx * cells.len() + cell_idx`, the same order the per-kind
-//!   loop produced) and are reassembled in order — execution order is
-//!   a scheduling detail, output order is part of the API.
+//!   loop produced) — execution order is a scheduling detail, output
+//!   order is part of the API.
 //!
 //! Determinism: every cell is an independent simulation of a
 //! deterministic trace, so results are bit-identical regardless of
@@ -39,10 +39,9 @@
 
 use crate::journal;
 use crate::prefetchers::PrefetcherKind;
-use crate::runner::{run_cell_cached, CellResult, CellSpec, RunConfig};
+use crate::runner::{parallel_map, run_cell_cached, CellResult, CellSpec, RunConfig};
 use crate::telemetry;
 use pmp_traces::TraceCache;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Flat prior for a cell's wall cost when the observer has no history
 /// (or no observer is installed): ordering degrades to grid order,
@@ -56,40 +55,25 @@ const MIX_COST_FACTOR: f64 = 4.0;
 
 /// Expected wall cost of one (cell, kind) work item, in milliseconds.
 fn expected_cost_ms(cell: &CellSpec, kind: &PrefetcherKind, cfg: &RunConfig) -> f64 {
+    let keys = cell.journal_keys(cfg, kind);
     // Journaled cells resume in microseconds — schedule them last.
     // (Non-counting peek: the real lookup in the runner counts the
     // resume; counting it here too would inflate the resumed tally.)
-    let journaled = match cell {
-        CellSpec::Mix(mix) => journal::global_contains_all(&cfg.mix_keys(mix, kind)),
-        _ => journal::global_contains(&cfg.cell_key(&cell.name(), kind)),
-    };
-    if journaled {
+    if journal::global_contains_all(&keys) {
         return 0.0;
     }
     // A prior run's journal measured this exact cell (same key, so the
     // same trace, prefetcher parameterisation, and system config):
     // that beats any histogram estimate. Mix cells record the whole
     // cell's wall once per core key — take the max.
-    let hint = match cell {
-        CellSpec::Mix(mix) => cfg
-            .mix_keys(mix, kind)
-            .iter()
-            .filter_map(|k| journal::global_cost_hint_ms(k))
-            .max(),
-        _ => journal::global_cost_hint_ms(&cfg.cell_key(&cell.name(), kind)),
-    };
-    if let Some(ms) = hint {
+    if let Some(ms) = keys.iter().filter_map(|k| journal::global_cost_hint_ms(k)).max() {
         return ms as f64;
     }
-    let family = match cell {
-        CellSpec::Synthetic(spec) => spec.archetype.tag(),
-        CellSpec::File(_) => "file",
-        CellSpec::Mix(_) => "mix",
-    };
-    telemetry::expected_cell_ms(&kind.label(), family).unwrap_or(match cell {
+    let prior = match cell {
         CellSpec::Mix(_) => DEFAULT_CELL_MS * MIX_COST_FACTOR,
         _ => DEFAULT_CELL_MS,
-    })
+    };
+    telemetry::expected_cell_ms(&kind.label(), cell.family()).unwrap_or(prior)
 }
 
 /// Run the full `cells × kinds` product through one shared work pool
@@ -98,7 +82,7 @@ fn expected_cost_ms(cell: &CellSpec, kind: &PrefetcherKind, cfg: &RunConfig) -> 
 ///
 /// Callers that want a [`crate::runner::SweepSummary`] use
 /// [`crate::runner::run_grid`]; this is the raw scheduling primitive
-/// it (and the strict grid helpers) share.
+/// it (and the strict grid helper) share.
 pub fn run_product(
     cells: &[CellSpec],
     kinds: &[PrefetcherKind],
@@ -106,9 +90,6 @@ pub fn run_product(
     cache: &TraceCache,
 ) -> Vec<CellResult> {
     let n = cells.len() * kinds.len();
-    if n == 0 {
-        return Vec::new();
-    }
     // Longest-expected-first execution order; cost ties stay in grid
     // order so scheduling is deterministic.
     let costs: Vec<f64> = (0..n)
@@ -116,38 +97,12 @@ pub fn run_product(
         .collect();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]).then(a.cmp(&b)));
-
-    let threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(4);
-    let threads = threads.min(n).max(1);
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, CellResult)>();
-    let mut out: Vec<Option<CellResult>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let (order, cursor) = (&order, &cursor);
-            s.spawn(move || loop {
-                let at = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&i) = order.get(at) else { break };
-                let kind = &kinds[i / cells.len()];
-                let cell = &cells[i % cells.len()];
-                let result = run_cell_cached(cell, kind, cfg, Some(cache));
-                if tx.send((i, result)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        // Reassemble in grid order on the calling thread while workers
-        // are still producing; ends when every sender is gone.
-        for (i, result) in rx {
-            out[i] = Some(result);
-        }
+    let results = parallel_map(&order, |&i| {
+        run_cell_cached(&cells[i % cells.len()], &kinds[i / cells.len()], cfg, Some(cache))
     });
-    out.into_iter()
-        .enumerate()
-        .map(|(i, r)| r.unwrap_or_else(|| panic!("scheduler worker for item {i} sent no result")))
-        .collect()
+    let mut by_grid_index: Vec<(usize, CellResult)> = order.into_iter().zip(results).collect();
+    by_grid_index.sort_unstable_by_key(|&(i, _)| i);
+    by_grid_index.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]

@@ -91,7 +91,9 @@ impl Log2Histogram {
 
     /// Smallest value `v` such that at least `p` (0..=1) of the samples
     /// fall in buckets up to `v`'s — an upper bound of the percentile's
-    /// bucket. Returns 0 for an empty histogram.
+    /// bucket, clamped to the observed [`Log2Histogram::max`] (no sample
+    /// lies above it, so neither does any percentile). Returns 0 for an
+    /// empty histogram.
     pub fn percentile_upper_bound(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -101,10 +103,10 @@ impl Log2Histogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             acc += c;
             if acc >= target {
-                return Self::bucket_bounds(i).1;
+                return Self::bucket_bounds(i).1.min(self.max);
             }
         }
-        u64::MAX
+        self.max
     }
 
     /// Median upper bound: [`Log2Histogram::percentile_upper_bound`] at 0.50.
@@ -185,20 +187,41 @@ mod tests {
         h.record(1000); // bucket [512, 1023]
         assert_eq!(h.percentile_upper_bound(0.5), 15);
         assert_eq!(h.percentile_upper_bound(0.99), 15);
-        assert_eq!(h.percentile_upper_bound(1.0), 1023);
+        // The top bucket's bound (1023) is clamped to the observed max.
+        assert_eq!(h.percentile_upper_bound(1.0), 1000);
         assert_eq!(Log2Histogram::new().percentile_upper_bound(0.5), 0);
+    }
+
+    #[test]
+    fn percentiles_never_exceed_max() {
+        // A wall-time shape like a sweep's: many fast cells, a few slow
+        // ones whose bucket bound (31) lies above the slowest sample (27).
+        let mut h = Log2Histogram::new();
+        for v in [3, 4, 4, 5, 6, 9, 12, 17, 21, 27] {
+            h.record(v);
+        }
+        for step in 0..=100 {
+            let p = f64::from(step) / 100.0;
+            let v = h.percentile_upper_bound(p);
+            assert!(v <= h.max(), "p{step} = {v} exceeds max {}", h.max());
+        }
+        assert_eq!(h.p99(), 27);
     }
 
     #[test]
     fn percentiles_at_bucket_boundaries() {
         // A value exactly at a power of two sits in the bucket it
-        // *opens*: the reported upper bound is the next boundary - 1.
+        // *opens*: the reported upper bound is the next boundary - 1,
+        // clamped to the largest sample.
         let mut h = Log2Histogram::new();
         for _ in 0..100 {
             h.record(64); // opens bucket [64, 127]
         }
+        assert_eq!(h.p50(), 64, "bound 127 clamps to max 64");
+        assert_eq!(h.p95(), 64);
+        assert_eq!(h.p99(), 64);
+        h.record(200); // lifts max above the bucket's bound
         assert_eq!(h.p50(), 127);
-        assert_eq!(h.p95(), 127);
         assert_eq!(h.p99(), 127);
 
         // All-zero samples: every percentile is the zero bucket.

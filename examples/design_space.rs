@@ -7,14 +7,14 @@
 //! ```
 
 use pmp_bench::prefetchers::PrefetcherKind;
-use pmp_bench::runner::{normalized_ipcs, run_traces, RunConfig};
+use pmp_bench::runner::{normalized_ipcs, run_specs_grid, RunConfig};
 use pmp_core::{ExtractionScheme, PmpConfig};
 use pmp_traces::{representative_subset, TraceScale};
 
 fn nipc_of(cfg_pmp: PmpConfig, specs: &[pmp_traces::TraceSpec], cfg: &RunConfig) -> f64 {
-    let base = run_traces(specs, &PrefetcherKind::None, cfg);
-    let with = run_traces(specs, &PrefetcherKind::PmpCustom(Box::new(cfg_pmp)), cfg);
-    normalized_ipcs(&base, &with).1
+    let kinds = [PrefetcherKind::None, PrefetcherKind::PmpCustom(Box::new(cfg_pmp))];
+    let grid = run_specs_grid(specs, &kinds, cfg);
+    normalized_ipcs(&grid[0], &grid[1]).1
 }
 
 fn main() {

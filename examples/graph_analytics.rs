@@ -8,7 +8,7 @@
 //! ```
 
 use pmp_bench::prefetchers::PrefetcherKind;
-use pmp_bench::runner::{run_trace, RunConfig};
+use pmp_bench::runner::{run_cell, CellSpec, RunConfig};
 use pmp_traces::{catalog, TraceScale};
 use pmp_types::CacheLevel;
 
@@ -18,7 +18,8 @@ fn main() {
         .find(|s| s.name == "ligra.bfs_2")
         .expect("catalog trace");
     let cfg = RunConfig { scale: TraceScale::Small, ..RunConfig::default() };
-    let base = run_trace(&spec, &PrefetcherKind::None, &cfg);
+    let cell = CellSpec::Synthetic(spec.clone());
+    let base = run_cell(&cell, &PrefetcherKind::None, &cfg).expect("baseline cell");
     println!(
         "{}: baseline IPC {:.3}, LLC MPKI {:.1}\n",
         spec.name,
@@ -31,7 +32,7 @@ fn main() {
         "prefetcher", "NIPC", "issued", "L1 fills", "L2 fills", "LLC fills"
     );
     for kind in PrefetcherKind::paper_five() {
-        let o = run_trace(&spec, &kind, &cfg);
+        let o = run_cell(&cell, &kind, &cfg).expect("prefetcher cell");
         let s = &o.result.stats;
         println!(
             "{:10} {:>6.3} {:>8} {:>9} {:>9} {:>9}",

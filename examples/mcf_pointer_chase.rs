@@ -11,7 +11,7 @@
 
 use pmp_analysis::{capture_patterns, features::Feature, heatmap::HeatMap, icdd::average_icdd};
 use pmp_bench::prefetchers::PrefetcherKind;
-use pmp_bench::runner::{run_trace, RunConfig};
+use pmp_bench::runner::{run_cell, CellSpec, RunConfig};
 use pmp_traces::{catalog, TraceScale};
 use pmp_types::RegionGeometry;
 
@@ -43,8 +43,9 @@ fn main() {
 
     // And the punchline: PMP turns that structure into speedup.
     let cfg = RunConfig { scale: TraceScale::Small, ..RunConfig::default() };
-    let base = run_trace(&spec, &PrefetcherKind::None, &cfg);
-    let pmp = run_trace(&spec, &PrefetcherKind::Pmp, &cfg);
+    let cell = CellSpec::Synthetic(spec);
+    let base = run_cell(&cell, &PrefetcherKind::None, &cfg).expect("baseline cell");
+    let pmp = run_cell(&cell, &PrefetcherKind::Pmp, &cfg).expect("PMP cell");
     println!(
         "baseline IPC {:.3} -> PMP IPC {:.3} ({:.2}x)",
         base.result.ipc(),

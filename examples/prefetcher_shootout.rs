@@ -7,7 +7,7 @@
 //! ```
 
 use pmp_bench::prefetchers::PrefetcherKind;
-use pmp_bench::runner::{geo_mean, normalized_ipcs, run_traces, RunConfig};
+use pmp_bench::runner::{geo_mean, normalized_ipcs, run_specs_grid, RunConfig};
 use pmp_stats::Table;
 use pmp_traces::{representative_subset, TraceScale};
 
@@ -15,14 +15,14 @@ fn main() {
     let specs = representative_subset();
     let cfg = RunConfig { scale: TraceScale::Small, ..RunConfig::default() };
     println!("running {} traces × 6 configurations...", specs.len());
-    let base = run_traces(&specs, &PrefetcherKind::None, &cfg);
+    let mut kinds = vec![PrefetcherKind::None];
+    kinds.extend(PrefetcherKind::paper_five());
+    kinds.push(PrefetcherKind::PmpLimit);
+    let grid = run_specs_grid(&specs, &kinds, &cfg);
 
     let mut table = Table::new(&["prefetcher", "geomean NIPC", "storage KiB", "NIPC per KiB"]);
-    let mut kinds = PrefetcherKind::paper_five();
-    kinds.push(PrefetcherKind::PmpLimit);
-    for kind in kinds {
-        let outs = run_traces(&specs, &kind, &cfg);
-        let (nipcs, g) = normalized_ipcs(&base, &outs);
+    for (kind, outs) in kinds.iter().zip(&grid).skip(1) {
+        let (nipcs, g) = normalized_ipcs(&grid[0], outs);
         let kib = kind.build().storage_bits() as f64 / 8.0 / 1024.0;
         let gain_per_kib = (g - 1.0).max(0.0) / kib;
         table.row_owned(vec![

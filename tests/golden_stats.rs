@@ -20,7 +20,7 @@
 
 use pmp_bench::journal;
 use pmp_bench::prefetchers::PrefetcherKind;
-use pmp_bench::runner::{run_grid, run_trace, CellSpec, RunConfig};
+use pmp_bench::runner::{run_cell, run_grid, CellSpec, RunConfig};
 use pmp_sim::SimStats;
 use pmp_traces::{catalog, TraceScale};
 
@@ -99,7 +99,8 @@ fn golden_stats_fixed_triples() {
     for (ti, spec) in catalog().iter().take(TRACES).enumerate() {
         table.push_str("    [");
         for (ki, kind) in KINDS.iter().enumerate() {
-            let out = run_trace(spec, kind, &cfg);
+            let out =
+                run_cell(&CellSpec::Synthetic(spec.clone()), kind, &cfg).expect("healthy cell");
             let fp = fingerprint(&out.result.stats);
             table.push_str(&format!("{fp:#018x}, "));
             if !print && fp != GOLDEN[ti][ki] {

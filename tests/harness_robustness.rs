@@ -5,7 +5,7 @@
 
 use pmp_bench::journal::{self, Journal};
 use pmp_bench::prefetchers::PrefetcherKind;
-use pmp_bench::runner::{run_cell, run_grid, run_trace_checked, CellSpec, MixCell, RunConfig};
+use pmp_bench::runner::{run_cell, run_grid, CellSpec, MixCell, RunConfig};
 use pmp_sim::SystemConfig;
 use pmp_traces::io::write_trace_file;
 use pmp_traces::{catalog, TraceScale, TraceSpec};
@@ -23,6 +23,18 @@ fn journal_lock() -> MutexGuard<'static, ()> {
 
 fn tiny_cfg() -> RunConfig {
     RunConfig { scale: TraceScale::Tiny, ..RunConfig::default() }
+}
+
+fn synthetic(spec: &TraceSpec) -> CellSpec {
+    CellSpec::Synthetic(spec.clone())
+}
+
+/// An invalid recipe: the hash archetype with an impossible hot
+/// fraction (the validator rejects anything outside 0..=1).
+fn invalid_recipe(spec: &TraceSpec) -> TraceSpec {
+    let mut bad = spec.clone();
+    bad.archetype = pmp_traces::archetypes::presets::hash(8, 2.0);
+    bad
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -105,7 +117,7 @@ fn watchdog_and_validation_fail_fast_with_typed_errors() {
 
     // Watchdog: an impossible cycle budget aborts the cell with Timeout.
     let cfg = RunConfig { max_cycles: Some(50), ..tiny_cfg() };
-    let timeout = run_trace_checked(spec, &PrefetcherKind::None, &cfg)
+    let timeout = run_cell(&synthetic(spec), &PrefetcherKind::None, &cfg)
         .expect_err("50-cycle budget cannot finish");
     assert_eq!(timeout.error.kind_tag(), "timeout");
 
@@ -113,17 +125,15 @@ fn watchdog_and_validation_fail_fast_with_typed_errors() {
     // rejected before any simulation runs.
     let mut cfg = tiny_cfg();
     cfg.system.core.rob_entries = 0;
-    let bad_system = run_trace_checked(spec, &PrefetcherKind::None, &cfg)
+    let bad_system = run_cell(&synthetic(spec), &PrefetcherKind::None, &cfg)
         .expect_err("zero ROB must be rejected");
     assert_eq!(bad_system.error.kind_tag(), "invalid-config");
 
-    let bad_kind = run_trace_checked(spec, &PrefetcherKind::DesignB(0), &tiny_cfg())
+    let bad_kind = run_cell(&synthetic(spec), &PrefetcherKind::DesignB(0), &tiny_cfg())
         .expect_err("zero-way Design B must be rejected");
     assert_eq!(bad_kind.error.kind_tag(), "invalid-config");
 
-    let mut bad_spec = spec.clone();
-    bad_spec.archetype = pmp_traces::archetypes::presets::hash(8, 2.0);
-    let bad_trace = run_trace_checked(&bad_spec, &PrefetcherKind::None, &tiny_cfg())
+    let bad_trace = run_cell(&synthetic(&invalid_recipe(spec)), &PrefetcherKind::None, &tiny_cfg())
         .expect_err("hot fraction 2.0 must be rejected");
     assert_eq!(bad_trace.error.kind_tag(), "invalid-config");
     assert!(bad_trace.error.to_string().contains(&spec.name), "{bad_trace}");
@@ -132,22 +142,56 @@ fn watchdog_and_validation_fail_fast_with_typed_errors() {
 #[test]
 fn validation_rejects_before_journal_resume() {
     let _guard = journal_lock();
-    journal::install_global(Journal::in_memory());
-    let spec = &catalog()[0];
-    let cfg = tiny_cfg();
-    run_trace_checked(spec, &PrefetcherKind::NextLine, &cfg).expect("healthy cell journals");
-    // Same trace name, now-invalid recipe. The journal key fingerprints
-    // the name and run config but not the archetype parameters, so if
-    // the journal were consulted before validation this would silently
-    // resume the stale healthy result instead of rejecting the config.
-    let mut bad = spec.clone();
-    bad.archetype = pmp_traces::archetypes::presets::hash(8, 2.0);
-    let hits_before = journal::global_hits();
-    let err = run_trace_checked(&bad, &PrefetcherKind::NextLine, &cfg)
-        .expect_err("invalid recipe must be rejected, not resumed");
-    assert_eq!(err.error.kind_tag(), "invalid-config");
-    assert_eq!(journal::global_hits(), hits_before, "no resume for an invalid cell");
+    let dir = temp_dir("validation_before_resume");
+    let file = dir.join("healthy.pmpt");
+    write_trace_file(&catalog()[0].build(TraceScale::Tiny), &file).expect("write trace file");
+    let mut broken_system = tiny_cfg();
+    broken_system.system.core.rob_entries = 0;
+    let mix = |specs| CellSpec::Mix(Box::new(MixCell { name: "mix/v".into(), specs }));
+    let healthy_mix: [TraceSpec; 4] = std::array::from_fn(|i| catalog()[i].clone());
+    let mut poisoned_mix = healthy_mix.clone();
+    poisoned_mix[2] = invalid_recipe(&poisoned_mix[2]);
+
+    // Each row journals a healthy cell, then reruns a cell that keeps
+    // its name but is now invalid. A journal key fingerprints the name
+    // and run config but not archetype parameters, so if the journal
+    // were consulted before validation the synthetic and mix reruns
+    // would silently resume the stale healthy result.
+    let rows: [(&str, CellSpec, RunConfig, CellSpec, RunConfig); 3] = [
+        (
+            "synthetic: same trace name, invalid recipe",
+            synthetic(&catalog()[0]),
+            tiny_cfg(),
+            synthetic(&invalid_recipe(&catalog()[0])),
+            tiny_cfg(),
+        ),
+        (
+            "file: same trace file, invalid system",
+            CellSpec::File(file.clone()),
+            tiny_cfg(),
+            CellSpec::File(file),
+            broken_system,
+        ),
+        (
+            "mix: same mix name, one invalid recipe",
+            mix(healthy_mix),
+            quad_cfg(),
+            mix(poisoned_mix),
+            quad_cfg(),
+        ),
+    ];
+    for (case, healthy, healthy_cfg, invalid, invalid_cfg) in rows {
+        journal::install_global(Journal::in_memory());
+        run_cell(&healthy, &PrefetcherKind::NextLine, &healthy_cfg)
+            .unwrap_or_else(|f| panic!("{case}: healthy cell must journal: {f}"));
+        let hits_before = journal::global_hits();
+        let err = run_cell(&invalid, &PrefetcherKind::NextLine, &invalid_cfg)
+            .expect_err("an invalid cell must be rejected, not resumed");
+        assert_eq!(err.error.kind_tag(), "invalid-config", "{case}: {err}");
+        assert_eq!(journal::global_hits(), hits_before, "{case}: no resume for an invalid cell");
+    }
     journal::clear_global();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -189,7 +233,7 @@ fn journal_resume_skips_exactly_the_completed_cells() {
     // A config change invalidates the key: nothing is wrongly reused.
     journal::install_global(Journal::in_memory());
     let bigger = RunConfig { max_cycles: Some(u64::MAX - 1), ..tiny_cfg() };
-    let _ = run_trace_checked(&specs[0], &PrefetcherKind::NextLine, &bigger);
+    let _ = run_cell(&cells[0], &PrefetcherKind::NextLine, &bigger);
     assert_eq!(journal::global_hits(), 0, "different config must be a different cell");
     journal::clear_global();
     let _ = std::fs::remove_dir_all(&dir);

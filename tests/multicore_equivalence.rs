@@ -17,7 +17,7 @@
 //!    contention, which never happened before the engine refactor.
 
 use pmp_bench::prefetchers::PrefetcherKind;
-use pmp_bench::runner::{run_trace, RunConfig};
+use pmp_bench::runner::{run_cell, CellSpec, RunConfig};
 use pmp_sim::{Engine, MultiCoreSystem, SimStats, SystemConfig};
 use pmp_traces::mix::{table_vii_mixes, MpkiClass};
 use pmp_traces::{catalog, TraceScale, TraceSpec};
@@ -83,7 +83,8 @@ fn engine_sequential_is_bit_identical_to_system() {
     for spec in catalog().iter().take(6) {
         let trace = spec.build(cfg.scale);
         for kind in &KINDS {
-            let via_system = run_trace(spec, kind, &cfg);
+            let via_system =
+                run_cell(&CellSpec::Synthetic(spec.clone()), kind, &cfg).expect("healthy cell");
             let mut engine = Engine::new(cfg.system.clone(), vec![kind.build()]);
             let direct = engine
                 .run_sequential(&trace.ops, cfg.scale.warmup_instructions(), u64::MAX)

@@ -8,7 +8,7 @@ use pmp_analysis::frequency::FrequencyCensus;
 use pmp_analysis::icdd::average_icdd;
 use pmp_analysis::capture_patterns;
 use pmp_bench::prefetchers::PrefetcherKind;
-use pmp_bench::runner::{normalized_ipcs, run_traces, parallel_map, RunConfig};
+use pmp_bench::runner::{normalized_ipcs, parallel_map, run_specs_grid, RunConfig};
 use pmp_core::capture::CapturedPattern;
 use pmp_prefetch::Prefetcher as _;
 use pmp_traces::{representative_subset, TraceScale};
@@ -93,13 +93,14 @@ fn observation3_trigger_offset_clusters_best() {
 fn fig8_shape_pmp_wins_at_low_cost() {
     let specs = representative_subset();
     let cfg = RunConfig { scale: TraceScale::Small, ..RunConfig::default() };
-    let base = run_traces(&specs, &PrefetcherKind::None, &cfg);
-    let mut results = Vec::new();
-    for kind in PrefetcherKind::paper_five() {
-        let outs = run_traces(&specs, &kind, &cfg);
-        let (_, g) = normalized_ipcs(&base, &outs);
-        results.push((kind.label(), g));
-    }
+    let mut kinds = vec![PrefetcherKind::None];
+    kinds.extend(PrefetcherKind::paper_five());
+    let grid = run_specs_grid(&specs, &kinds, &cfg);
+    let results: Vec<(String, f64)> = kinds[1..]
+        .iter()
+        .zip(&grid[1..])
+        .map(|(kind, outs)| (kind.label(), normalized_ipcs(&grid[0], outs).1))
+        .collect();
     let get = |n: &str| results.iter().find(|(l, _)| l == n).unwrap().1;
     let pmp = get("pmp");
     assert!(pmp > 1.25, "PMP must clearly beat the baseline: {pmp:.3}");
@@ -136,14 +137,17 @@ fn table_v_storage_ordering() {
 fn nmt_shape_pmp_is_most_aggressive() {
     let specs = representative_subset();
     let cfg = RunConfig { scale: TraceScale::Small, ..RunConfig::default() };
-    let base = run_traces(&specs, &PrefetcherKind::None, &cfg);
-    let dram = |kind: &PrefetcherKind| -> u64 {
-        run_traces(&specs, kind, &cfg).iter().map(|o| o.result.stats.dram_requests).sum()
-    };
-    let base_dram: u64 = base.iter().map(|o| o.result.stats.dram_requests).sum();
-    let pmp = dram(&PrefetcherKind::Pmp);
-    let limit = dram(&PrefetcherKind::PmpLimit);
-    let bingo = dram(&PrefetcherKind::Bingo);
+    let kinds = [
+        PrefetcherKind::None,
+        PrefetcherKind::Pmp,
+        PrefetcherKind::PmpLimit,
+        PrefetcherKind::Bingo,
+    ];
+    let dram: Vec<u64> = run_specs_grid(&specs, &kinds, &cfg)
+        .iter()
+        .map(|outs| outs.iter().map(|o| o.result.stats.dram_requests).sum())
+        .collect();
+    let [base_dram, pmp, limit, bingo] = dram[..] else { unreachable!("one row per kind") };
     assert!(pmp > base_dram, "prefetching adds traffic");
     assert!(pmp > bingo, "PMP is the most aggressive (paper: 199.6% vs 164.2%)");
     assert!(limit < pmp, "PMP-Limit must cut traffic (paper: 159.0%)");

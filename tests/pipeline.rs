@@ -2,14 +2,22 @@
 //! prefetching → metrics, exercised end-to-end.
 
 use pmp_bench::prefetchers::PrefetcherKind;
-use pmp_bench::runner::{normalized_ipcs, run_trace, run_traces, RunConfig};
+use pmp_bench::runner::{normalized_ipcs, run_cell, run_specs_grid, CellSpec, RunConfig, RunOutcome};
 use pmp_sim::{MultiCoreSystem, System, SystemConfig};
 use pmp_stats::metrics::{coverage, nmt};
-use pmp_traces::{catalog, representative_subset, Suite, TraceScale};
+use pmp_traces::{catalog, representative_subset, Suite, TraceScale, TraceSpec};
 use pmp_types::CacheLevel;
 
 fn cfg(scale: TraceScale) -> RunConfig {
     RunConfig { scale, ..RunConfig::default() }
+}
+
+fn run(spec: &TraceSpec, kind: &PrefetcherKind, scale: TraceScale) -> RunOutcome {
+    run_cell(&CellSpec::Synthetic(spec.clone()), kind, &cfg(scale)).expect("healthy cell")
+}
+
+fn run_all(specs: &[TraceSpec], kind: &PrefetcherKind, scale: TraceScale) -> Vec<RunOutcome> {
+    run_specs_grid(specs, std::slice::from_ref(kind), &cfg(scale)).remove(0)
 }
 
 #[test]
@@ -21,7 +29,7 @@ fn every_catalog_family_simulates() {
          "spec17.stride_0", "ligra.bfs_0", "parsec.stencil_0"]
     {
         let spec = all.iter().find(|s| s.name == name).unwrap_or_else(|| panic!("{name}"));
-        let out = run_trace(spec, &PrefetcherKind::None, &cfg(TraceScale::Tiny));
+        let out = run(spec, &PrefetcherKind::None, TraceScale::Tiny);
         assert!(out.result.cycles > 0, "{name} must simulate");
         assert!(out.result.stats.llc_mpki() > 1.0, "{name} must miss");
     }
@@ -32,7 +40,7 @@ fn traces_meet_the_papers_mpki_criterion() {
     // The paper selects traces with LLC MPKI > 5; at Small scale the
     // whole catalog must qualify on the baseline.
     let specs = catalog();
-    let outs = run_traces(&specs, &PrefetcherKind::None, &cfg(TraceScale::Small));
+    let outs = run_all(&specs, &PrefetcherKind::None, TraceScale::Small);
     let below: Vec<&str> = outs
         .iter()
         .filter(|o| o.result.stats.llc_mpki() <= 5.0)
@@ -44,8 +52,8 @@ fn traces_meet_the_papers_mpki_criterion() {
 #[test]
 fn pmp_speeds_up_the_mcf_chase() {
     let spec = catalog().into_iter().find(|s| s.name == "spec06.mcf_2").unwrap();
-    let base = run_trace(&spec, &PrefetcherKind::None, &cfg(TraceScale::Small));
-    let pmp = run_trace(&spec, &PrefetcherKind::Pmp, &cfg(TraceScale::Small));
+    let base = run(&spec, &PrefetcherKind::None, TraceScale::Small);
+    let pmp = run(&spec, &PrefetcherKind::Pmp, TraceScale::Small);
     let nipc = pmp.result.ipc() / base.result.ipc();
     assert!(nipc > 1.5, "PMP on a backward chase should fly: {nipc:.3}");
     // On a fully serialised chase most prefetches arrive "late" (the
@@ -67,8 +75,8 @@ fn pmp_speeds_up_the_mcf_chase() {
 #[test]
 fn pmp_produces_more_traffic_than_baseline_but_bounded() {
     let spec = catalog().into_iter().find(|s| s.name == "spec06.stream_1").unwrap();
-    let base = run_trace(&spec, &PrefetcherKind::None, &cfg(TraceScale::Small));
-    let pmp = run_trace(&spec, &PrefetcherKind::Pmp, &cfg(TraceScale::Small));
+    let base = run(&spec, &PrefetcherKind::None, TraceScale::Small);
+    let pmp = run(&spec, &PrefetcherKind::Pmp, TraceScale::Small);
     let t = nmt(&base.result.stats, &pmp.result.stats).unwrap();
     assert!(t >= 1.0, "prefetching cannot reduce DRAM traffic on a stream: {t}");
     assert!(t < 4.0, "NMT should stay bounded: {t}");
@@ -77,8 +85,8 @@ fn pmp_produces_more_traffic_than_baseline_but_bounded() {
 #[test]
 fn prefetcher_state_is_deterministic_across_runs() {
     let spec = catalog().into_iter().find(|s| s.name == "ligra.pagerank_0").unwrap();
-    let a = run_trace(&spec, &PrefetcherKind::Pmp, &cfg(TraceScale::Tiny));
-    let b = run_trace(&spec, &PrefetcherKind::Pmp, &cfg(TraceScale::Tiny));
+    let a = run(&spec, &PrefetcherKind::Pmp, TraceScale::Tiny);
+    let b = run(&spec, &PrefetcherKind::Pmp, TraceScale::Tiny);
     assert_eq!(a.result.cycles, b.result.cycles);
     assert_eq!(a.result.stats.pf_issued, b.result.stats.pf_issued);
 }
@@ -86,7 +94,7 @@ fn prefetcher_state_is_deterministic_across_runs() {
 #[test]
 fn suite_labels_flow_through() {
     let specs = representative_subset();
-    let outs = run_traces(&specs, &PrefetcherKind::None, &cfg(TraceScale::Tiny));
+    let outs = run_all(&specs, &PrefetcherKind::None, TraceScale::Tiny);
     for suite in Suite::ALL {
         assert!(outs.iter().any(|o| o.suite == suite), "{suite} missing from subset");
     }
@@ -95,8 +103,8 @@ fn suite_labels_flow_through() {
 #[test]
 fn normalized_ipcs_are_aligned_and_positive() {
     let specs = &representative_subset()[..4];
-    let base = run_traces(specs, &PrefetcherKind::None, &cfg(TraceScale::Tiny));
-    let with = run_traces(specs, &PrefetcherKind::NextLine, &cfg(TraceScale::Tiny));
+    let base = run_all(specs, &PrefetcherKind::None, TraceScale::Tiny);
+    let with = run_all(specs, &PrefetcherKind::NextLine, TraceScale::Tiny);
     let (nipcs, g) = normalized_ipcs(&base, &with);
     assert_eq!(nipcs.len(), 4);
     assert!(nipcs.iter().all(|&n| n > 0.0));
