@@ -7,27 +7,24 @@
 //! fields pin the pre-optimization numbers measured on the reference
 //! machine before the allocation-free hot-path rework; `speedup` is
 //! current / baseline (machine-dependent — compare trends, not
-//! absolutes, across hosts).
+//! absolutes, across hosts). Workloads added after that rework
+//! (`system_pmp`) have no frozen baseline and carry neither field;
+//! `min_speedup` covers the workloads that do.
 //!
 //! Usage: `cargo run --release --bin sim_throughput [-- OUT.json]`
 //! (default output path: `results/BENCH_sim.json`).
 
 use pmp_bench::microbench::{bench_function, black_box};
+use pmp_core::{Pmp, PmpConfig};
 use pmp_prefetch::{NextLine, NoPrefetch, PrefetchRequest};
 use pmp_sim::hierarchy::{demand_access, prefetch_access, CoreMem, MemEvents, SharedMem};
 use pmp_sim::{NullTracer, SimStats, System, SystemConfig};
 use pmp_types::{Addr, CacheLevel, LineAddr, MemAccess, Pc, TraceOp};
 use std::fmt::Write as _;
 
-/// Pre-PR baselines (ns/iter on the reference machine, commit 70aaa43)
-/// for each workload, in `workloads()` order. The acceptance target for
-/// the hot-path rework is >= 1.3x ops/sec on the memory-walk workloads.
-const BASELINE_NS_PER_OP: [f64; 4] = [
-    DEMAND_WALK_BASELINE_NS,
-    PREFETCH_WALK_BASELINE_NS,
-    SYSTEM_STREAM_BASELINE_NS,
-    SYSTEM_NEXTLINE_BASELINE_NS,
-];
+// Pre-PR baselines (ns/iter on the reference machine, commit 70aaa43).
+// The acceptance target for the hot-path rework was >= 1.3x ops/sec on
+// the memory-walk workloads.
 
 /// `demand_walk` pre-PR ns/op.
 const DEMAND_WALK_BASELINE_NS: f64 = 93.3;
@@ -42,6 +39,14 @@ const SYSTEM_NEXTLINE_BASELINE_NS: f64 = 621.8;
 struct Workload {
     name: &'static str,
     ns_per_op: f64,
+    /// Frozen pre-rework ns/op, for the workloads that predate it.
+    baseline_ns: Option<f64>,
+}
+
+impl Workload {
+    fn speedup(&self) -> Option<f64> {
+        self.baseline_ns.map(|base| base / self.ns_per_op)
+    }
 }
 
 /// The demand-side memory walk: mixed hits (small working set) and
@@ -74,7 +79,11 @@ fn demand_walk() -> Workload {
             black_box(lat)
         });
     });
-    Workload { name: "demand_walk", ns_per_op: m.ns_per_iter }
+    Workload {
+        name: "demand_walk",
+        ns_per_op: m.ns_per_iter,
+        baseline_ns: Some(DEMAND_WALK_BASELINE_NS),
+    }
 }
 
 /// The prefetch-side walk interleaved with demands: each op is one
@@ -118,7 +127,11 @@ fn prefetch_walk() -> Workload {
             black_box((lat, out))
         });
     });
-    Workload { name: "prefetch_walk", ns_per_op: m.ns_per_iter }
+    Workload {
+        name: "prefetch_walk",
+        ns_per_op: m.ns_per_iter,
+        baseline_ns: Some(PREFETCH_WALK_BASELINE_NS),
+    }
 }
 
 fn stream_ops(n: u64) -> Vec<TraceOp> {
@@ -137,7 +150,11 @@ fn system_stream() -> Workload {
             black_box(sys.run(&ops, 0).cycles)
         });
     });
-    Workload { name: "system_stream", ns_per_op: m.ns_per_iter / 20_000.0 }
+    Workload {
+        name: "system_stream",
+        ns_per_op: m.ns_per_iter / 20_000.0,
+        baseline_ns: Some(SYSTEM_STREAM_BASELINE_NS),
+    }
 }
 
 /// Whole-system throughput with an active prefetcher (adds the
@@ -150,7 +167,26 @@ fn system_nextline() -> Workload {
             black_box(sys.run(&ops, 0).cycles)
         });
     });
-    Workload { name: "system_nextline", ns_per_op: m.ns_per_iter / 20_000.0 }
+    Workload {
+        name: "system_nextline",
+        ns_per_op: m.ns_per_iter / 20_000.0,
+        baseline_ns: Some(SYSTEM_NEXTLINE_BASELINE_NS),
+    }
+}
+
+/// Whole-system throughput with PMP at its paper defaults on the same
+/// stream: capture, table training and prediction, and Prefetch Buffer
+/// issue on every load.
+fn system_pmp() -> Workload {
+    let ops = stream_ops(20_000);
+    let m = bench_function("sim_throughput/system_pmp", |b| {
+        b.iter(|| {
+            let mut sys =
+                System::new(SystemConfig::single_core(), Box::new(Pmp::new(PmpConfig::default())));
+            black_box(sys.run(&ops, 0).cycles)
+        });
+    });
+    Workload { name: "system_pmp", ns_per_op: m.ns_per_iter / 20_000.0, baseline_ns: None }
 }
 
 /// Serialize the measurements as the `BENCH_sim.json` document.
@@ -158,24 +194,25 @@ fn to_json(workloads: &[Workload]) -> String {
     let mut out = String::from("{\n  \"bench\": \"sim_throughput\",\n  \"unit\": \"ops_per_sec\",\n  \"workloads\": [\n");
     let mut min_speedup = f64::INFINITY;
     for (i, w) in workloads.iter().enumerate() {
-        let ops = 1e9 / w.ns_per_op;
-        let base_ns = BASELINE_NS_PER_OP[i];
-        let base_ops = 1e9 / base_ns;
-        let speedup = base_ns / w.ns_per_op;
-        min_speedup = min_speedup.min(speedup);
-        let _ = writeln!(
+        let _ = write!(
             out,
-            "    {{\"name\": \"{}\", \"ns_per_op\": {:.1}, \"ops_per_sec\": {:.0}, \
-             \"baseline_ns_per_op\": {:.1}, \"baseline_ops_per_sec\": {:.0}, \
-             \"speedup\": {:.3}}}{}",
+            "    {{\"name\": \"{}\", \"ns_per_op\": {:.1}, \"ops_per_sec\": {:.0}",
             w.name,
             w.ns_per_op,
-            ops,
-            base_ns,
-            base_ops,
-            speedup,
-            if i + 1 < workloads.len() { "," } else { "" },
+            1e9 / w.ns_per_op,
         );
+        if let (Some(base_ns), Some(speedup)) = (w.baseline_ns, w.speedup()) {
+            min_speedup = min_speedup.min(speedup);
+            let _ = write!(
+                out,
+                ", \"baseline_ns_per_op\": {:.1}, \"baseline_ops_per_sec\": {:.0}, \
+                 \"speedup\": {:.3}",
+                base_ns,
+                1e9 / base_ns,
+                speedup,
+            );
+        }
+        let _ = writeln!(out, "}}{}", if i + 1 < workloads.len() { "," } else { "" });
     }
     let _ = write!(out, "  ],\n  \"min_speedup\": {min_speedup:.3}\n}}\n");
     out
@@ -185,16 +222,14 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "results/BENCH_sim.json".to_string());
-    let workloads = [demand_walk(), prefetch_walk(), system_stream(), system_nextline()];
+    let workloads =
+        [demand_walk(), prefetch_walk(), system_stream(), system_nextline(), system_pmp()];
     let json = to_json(&workloads);
-    for (i, w) in workloads.iter().enumerate() {
-        println!(
-            "{:<18} {:>9.1} ns/op  {:>12.0} ops/s  speedup vs pre-PR: {:.2}x",
-            w.name,
-            w.ns_per_op,
-            1e9 / w.ns_per_op,
-            BASELINE_NS_PER_OP[i] / w.ns_per_op,
-        );
+    for w in &workloads {
+        let speedup =
+            w.speedup().map_or(String::new(), |s| format!("  speedup vs pre-PR: {s:.2}x"));
+        let ops = 1e9 / w.ns_per_op;
+        println!("{:<18} {:>9.1} ns/op  {ops:>12.0} ops/s{speedup}", w.name, w.ns_per_op);
     }
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         if !dir.as_os_str().is_empty() {

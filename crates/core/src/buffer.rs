@@ -6,8 +6,10 @@
 //! relative to the triggering line, and resumes from the buffer when a
 //! later load touches the same region.
 
+use pmp_prefetch::PrefetchRequest;
 use pmp_types::{
-    ByteReader, ByteWriter, CacheLevel, Origin, PrefetchPattern, RegionAddr, SnapshotError,
+    BitPattern, ByteReader, ByteWriter, CacheLevel, Origin, PrefetchPattern, Provenance,
+    RegionAddr, RegionGeometry, SnapshotError,
 };
 
 #[derive(Debug, Clone)]
@@ -30,23 +32,20 @@ struct PbEntry {
 pub struct PrefetchBuffer {
     entries: Vec<PbEntry>,
     clock: u64,
-    pattern_len: u32,
-}
-
-/// One assembled prefetch target popped from the buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PendingTarget {
-    /// Absolute offset of the target line within the region.
-    pub abs_offset: u8,
-    /// The fill level.
-    pub level: CacheLevel,
+    geom: RegionGeometry,
 }
 
 impl PrefetchBuffer {
     /// Create a buffer of `capacity` entries for `pattern_len`-offset
     /// patterns (paper: 16 entries).
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero capacity or when `pattern_len` is not a region
+    /// size ([`RegionGeometry::new`]).
     pub fn new(capacity: usize, pattern_len: u32) -> Self {
         assert!(capacity > 0, "buffer capacity must be positive");
+        let geom = RegionGeometry::new(pattern_len);
         PrefetchBuffer {
             entries: vec![
                 PbEntry {
@@ -61,7 +60,7 @@ impl PrefetchBuffer {
                 capacity
             ],
             clock: 0,
-            pattern_len,
+            geom,
         }
     }
 
@@ -80,7 +79,8 @@ impl PrefetchBuffer {
         pattern: PrefetchPattern,
         origin: Origin,
     ) {
-        assert_eq!(pattern.len(), self.pattern_len, "pattern length mismatch");
+        assert_eq!(pattern.len(), self.geom.lines_per_region(), "pattern length mismatch");
+        debug_assert!(u32::from(trigger_offset) < pattern.len(), "trigger offset out of region");
         self.clock += 1;
         let clock = self.clock;
         let slot = if let Some(i) =
@@ -108,78 +108,93 @@ impl PrefetchBuffer {
         };
     }
 
-    /// Provenance of the pattern parked for `region`
-    /// ([`Origin::None`] when the region has no entry).
-    pub fn origin_of(&self, region: RegionAddr) -> Origin {
-        self.entries
-            .iter()
-            .find(|e| e.valid && e.region == region)
-            .map_or(Origin::None, |e| e.origin)
-    }
-
-    /// Pop up to `budget` targets for `region`, nearest-first to the
-    /// absolute offset `near` (the current access's offset). Popped
-    /// targets are removed from the stored pattern; an exhausted entry
-    /// is freed.
+    /// Pop up to `budget` targets for `region` into `out`, nearest-first
+    /// to the absolute offset `near` (the current access's offset; the
+    /// lower offset wins a distance tie). Popped targets are removed
+    /// from the stored pattern; an exhausted entry is freed. Each
+    /// request carries the entry's provenance at its position in this
+    /// pop.
     ///
     /// `low_level_limit` caps how many targets below L1D (L2C/LLC) a
     /// single pattern may issue over its lifetime — `None` is
-    /// unlimited, `Some(1)` is the paper's PMP-Limit variant.
-    pub fn pop_targets(
+    /// unlimited, `Some(1)` is the paper's PMP-Limit variant. A target
+    /// over the cap is dropped silently and does not use budget.
+    ///
+    /// The walk allocates nothing and sorts nothing: it rotates the
+    /// entry's two code planes to absolute offsets and advances two bit
+    /// cursors outward from `near`, one over the targets at or below it
+    /// and one over those above.
+    pub fn pop_into(
         &mut self,
         region: RegionAddr,
         near: u8,
         budget: usize,
         low_level_limit: Option<usize>,
-    ) -> Vec<PendingTarget> {
+        out: &mut Vec<PrefetchRequest>,
+    ) {
         self.clock += 1;
         let clock = self.clock;
-        let len = self.pattern_len as u16;
+        let geom = self.geom;
         let Some(entry) = self.entries.iter_mut().find(|e| e.valid && e.region == region) else {
-            return Vec::new();
+            return;
         };
         entry.lru = clock;
         if budget == 0 {
-            return Vec::new();
+            return;
         }
-        // Assemble (anchored offset -> absolute offset, distance) and
-        // sort nearest-first relative to `near`.
-        let trig = u16::from(entry.trigger_offset);
-        let mut targets: Vec<(u8, u8, CacheLevel)> = entry
-            .pattern
-            .iter_targets()
-            .map(|(anch, level)| {
-                let abs = ((trig + u16::from(anch)) % len) as u8;
-                let dist = (i16::from(abs) - i16::from(near)).unsigned_abs() as u8;
-                (dist, abs, level)
-            })
-            .collect();
-        targets.sort_unstable_by_key(|&(dist, abs, _)| (dist, abs));
-
-        let mut out = Vec::with_capacity(budget.min(targets.len()));
-        for (_, abs, level) in targets {
-            if out.len() >= budget {
-                break;
-            }
-            let anch = ((i16::from(abs) - i16::from(entry.trigger_offset))
-                .rem_euclid(len as i16)) as u8;
+        let len = geom.lines_per_region();
+        let trig = entry.trigger_offset;
+        let to_abs =
+            |plane: u64| BitPattern::from_bits(plane, len).rotate_from_anchor(trig).bits();
+        let (lo, hi) = entry.pattern.planes();
+        let (mut lo, mut hi) = (to_abs(lo), to_abs(hi));
+        debug_assert!(u32::from(near) < len, "offset {near} out of region");
+        let at_or_below_near = u64::MAX >> (63 - near);
+        let mut issued = 0;
+        while issued < budget {
+            // Every visited target leaves the planes, so the two cursors
+            // are the highest remaining target at or below `near` and
+            // the lowest above it.
+            let down = (lo | hi) & at_or_below_near;
+            let up = (lo | hi) & !at_or_below_near;
+            let below = (down != 0).then(|| 63 - down.leading_zeros() as u8);
+            let above = (up != 0).then(|| up.trailing_zeros() as u8);
+            let abs = match (below, above) {
+                (Some(b), Some(a)) if a - near < near - b => a,
+                (Some(b), _) => b,
+                (None, Some(a)) => a,
+                (None, None) => break,
+            };
+            let bit = 1u64 << abs;
+            let level = match (hi & bit != 0, lo & bit != 0) {
+                (false, _) => CacheLevel::L1D,
+                (true, false) => CacheLevel::L2C,
+                (true, true) => CacheLevel::Llc,
+            };
+            lo &= !bit;
+            hi &= !bit;
             if level > CacheLevel::L1D {
                 if let Some(limit) = low_level_limit {
                     if entry.low_level_issued >= limit {
                         // Over the low-level budget: drop silently.
-                        entry.pattern.clear(anch);
                         continue;
                     }
                     entry.low_level_issued += 1;
                 }
             }
-            entry.pattern.clear(anch);
-            out.push(PendingTarget { abs_offset: abs, level });
+            out.push(PrefetchRequest::with_provenance(
+                geom.line_of(region, abs),
+                level,
+                Provenance::at(entry.origin, issued),
+            ));
+            issued += 1;
         }
+        let to_anchored =
+            |plane: u64| BitPattern::from_bits(plane, len).rotate_to_anchor(trig).bits();
+        entry.pattern = PrefetchPattern::from_planes(len, to_anchored(lo), to_anchored(hi));
         if entry.pattern.is_empty() {
             entry.valid = false;
         }
-        out
     }
 
     /// Whether a pattern is parked for `region`.
@@ -201,16 +216,18 @@ impl PrefetchBuffer {
     /// LRU 4 per entry at 64-line regions; the tag widens by one bit
     /// per region-size halving, i.e. tag = 42 − offset bits).
     pub fn storage_bits(&self) -> u64 {
-        let tag = 42 - u64::from(self.pattern_len.trailing_zeros());
-        let per = tag + 2 * (u64::from(self.pattern_len) - 1) + 4;
+        let len = self.geom.lines_per_region();
+        let tag = 42 - u64::from(self.geom.offset_bits());
+        let per = tag + 2 * (u64::from(len) - 1) + 4;
         self.entries.len() as u64 * per
     }
 
     /// Append the buffer's full state to a snapshot section. Per-offset
     /// targets encode as one byte: 0 = none, 1 = L1D, 2 = L2C, 3 = LLC.
     pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
+        let pattern_len = self.geom.lines_per_region();
         w.put_u32(self.entries.len() as u32);
-        w.put_u32(self.pattern_len);
+        w.put_u32(pattern_len);
         w.put_u64(self.clock);
         for e in &self.entries {
             w.put_u64(e.region.0);
@@ -218,7 +235,7 @@ impl PrefetchBuffer {
             w.put_u64(e.low_level_issued as u64);
             w.put_u64(e.lru);
             w.put_bool(e.valid);
-            for off in 0..self.pattern_len {
+            for off in 0..pattern_len {
                 w.put_u8(match e.pattern.target(off as u8).level() {
                     None => 0,
                     Some(CacheLevel::L1D) => 1,
@@ -296,7 +313,7 @@ impl PrefetchBuffer {
                 origin: Origin::None,
             });
         }
-        Ok(PrefetchBuffer { entries, clock, pattern_len })
+        Ok(PrefetchBuffer { entries, clock, geom: RegionGeometry::new(pattern_len) })
     }
 }
 
@@ -312,6 +329,20 @@ mod tests {
         p
     }
 
+    /// Pop through [`PrefetchBuffer::pop_into`] and read back each
+    /// request's absolute offset and level.
+    fn pop(
+        pb: &mut PrefetchBuffer,
+        region: RegionAddr,
+        near: u8,
+        budget: usize,
+        low_level_limit: Option<usize>,
+    ) -> Vec<(u8, CacheLevel)> {
+        let mut out = Vec::new();
+        pb.pop_into(region, near, budget, low_level_limit, &mut out);
+        out.iter().map(|r| (pb.geom.offset_of_line(r.line), r.fill_level)).collect()
+    }
+
     #[test]
     fn pop_nearest_first() {
         let mut pb = PrefetchBuffer::new(16, 64);
@@ -321,14 +352,21 @@ mod tests {
             10,
             pattern(64, &[(1, CacheLevel::L1D), (2, CacheLevel::L1D), (40, CacheLevel::L2C)]),
         );
-        let t = pb.pop_targets(RegionAddr(3), 10, 2, None);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[0].abs_offset, 11);
-        assert_eq!(t[1].abs_offset, 12);
+        let t = pop(&mut pb, RegionAddr(3), 10, 2, None);
+        assert_eq!(t, vec![(11, CacheLevel::L1D), (12, CacheLevel::L1D)]);
         // Remaining target pops on resume.
-        let t = pb.pop_targets(RegionAddr(3), 10, 8, None);
-        assert_eq!(t, vec![PendingTarget { abs_offset: 50, level: CacheLevel::L2C }]);
+        let t = pop(&mut pb, RegionAddr(3), 10, 8, None);
+        assert_eq!(t, vec![(50, CacheLevel::L2C)]);
         assert!(!pb.contains(RegionAddr(3)));
+    }
+
+    #[test]
+    fn distance_tie_goes_to_the_lower_offset() {
+        let mut pb = PrefetchBuffer::new(4, 16);
+        // Trigger 4, anchored 2 and 6 -> abs 6 and 10, both 2 from 8.
+        pb.insert(RegionAddr(1), 4, pattern(16, &[(6, CacheLevel::L2C), (2, CacheLevel::L1D)]));
+        let t = pop(&mut pb, RegionAddr(1), 8, 4, None);
+        assert_eq!(t, vec![(6, CacheLevel::L1D), (10, CacheLevel::L2C)]);
     }
 
     #[test]
@@ -336,22 +374,22 @@ mod tests {
         let mut pb = PrefetchBuffer::new(16, 64);
         // Trigger at 62: anchored 3 -> abs (62+3)%64 = 1.
         pb.insert(RegionAddr(1), 62, pattern(64, &[(3, CacheLevel::L1D)]));
-        let t = pb.pop_targets(RegionAddr(1), 62, 4, None);
-        assert_eq!(t[0].abs_offset, 1);
+        let t = pop(&mut pb, RegionAddr(1), 62, 4, None);
+        assert_eq!(t[0].0, 1);
     }
 
     #[test]
     fn zero_budget_keeps_pattern() {
         let mut pb = PrefetchBuffer::new(16, 64);
         pb.insert(RegionAddr(5), 0, pattern(64, &[(1, CacheLevel::L1D)]));
-        assert!(pb.pop_targets(RegionAddr(5), 0, 0, None).is_empty());
+        assert!(pop(&mut pb, RegionAddr(5), 0, 0, None).is_empty());
         assert!(pb.contains(RegionAddr(5)));
     }
 
     #[test]
     fn unknown_region_pops_nothing() {
         let mut pb = PrefetchBuffer::new(16, 64);
-        assert!(pb.pop_targets(RegionAddr(9), 0, 8, None).is_empty());
+        assert!(pop(&mut pb, RegionAddr(9), 0, 8, None).is_empty());
     }
 
     #[test]
@@ -370,10 +408,10 @@ mod tests {
                 ],
             ),
         );
-        let t = pb.pop_targets(RegionAddr(2), 0, 16, Some(1));
-        let low = t.iter().filter(|x| x.level > CacheLevel::L1D).count();
+        let t = pop(&mut pb, RegionAddr(2), 0, 16, Some(1));
+        let low = t.iter().filter(|x| x.1 > CacheLevel::L1D).count();
         assert_eq!(low, 1, "PMP-Limit allows one low-level prefetch: {t:?}");
-        assert_eq!(t.iter().filter(|x| x.level == CacheLevel::L1D).count(), 1);
+        assert_eq!(t.iter().filter(|x| x.1 == CacheLevel::L1D).count(), 1);
     }
 
     #[test]
@@ -382,7 +420,7 @@ mod tests {
         pb.insert(RegionAddr(1), 0, pattern(64, &[(1, CacheLevel::L1D)]));
         pb.insert(RegionAddr(2), 0, pattern(64, &[(1, CacheLevel::L1D)]));
         // Touch region 1 so region 2 is LRU.
-        pb.pop_targets(RegionAddr(1), 0, 0, None);
+        pop(&mut pb, RegionAddr(1), 0, 0, None);
         pb.insert(RegionAddr(3), 0, pattern(64, &[(1, CacheLevel::L1D)]));
         assert!(pb.contains(RegionAddr(1)));
         assert!(!pb.contains(RegionAddr(2)));
@@ -394,8 +432,8 @@ mod tests {
         let mut pb = PrefetchBuffer::new(4, 64);
         pb.insert(RegionAddr(1), 0, pattern(64, &[(1, CacheLevel::L1D)]));
         pb.insert(RegionAddr(1), 5, pattern(64, &[(2, CacheLevel::L2C)]));
-        let t = pb.pop_targets(RegionAddr(1), 5, 8, None);
-        assert_eq!(t, vec![PendingTarget { abs_offset: 7, level: CacheLevel::L2C }]);
+        let t = pop(&mut pb, RegionAddr(1), 5, 8, None);
+        assert_eq!(t, vec![(7, CacheLevel::L2C)]);
     }
 
     #[test]
@@ -407,16 +445,22 @@ mod tests {
             trigger_offset: 2,
             generation: 1,
         };
-        pb.insert_with_origin(RegionAddr(3), 2, pattern(8, &[(1, CacheLevel::L1D)]), origin);
-        assert_eq!(pb.origin_of(RegionAddr(3)), origin);
-        assert_eq!(pb.origin_of(RegionAddr(99)), Origin::None);
+        let two = pattern(8, &[(1, CacheLevel::L1D), (2, CacheLevel::L1D)]);
+        pb.insert_with_origin(RegionAddr(3), 2, two.clone(), origin);
         // Snapshot round trip drops the tag (telemetry, not state).
         let mut w = ByteWriter::new();
         pb.encode_state(&mut w);
         let bytes = w.into_bytes();
+        let mut out = Vec::new();
+        pb.pop_into(RegionAddr(3), 2, 8, None, &mut out);
+        let tags: Vec<Provenance> = out.iter().map(|r| r.provenance).collect();
+        assert_eq!(tags, vec![Provenance::at(origin, 0), Provenance::at(origin, 1)]);
         let mut r = ByteReader::new(&bytes, "pb");
-        let back = PrefetchBuffer::decode_state(&mut r, 4, 8, "pb").expect("decode");
-        assert_eq!(back.origin_of(RegionAddr(3)), Origin::None);
+        let mut back = PrefetchBuffer::decode_state(&mut r, 4, 8, "pb").expect("decode");
+        out.clear();
+        back.pop_into(RegionAddr(3), 2, 8, None, &mut out);
+        assert_eq!(out.len(), 2);
+        assert!(out.iter().all(|r| r.provenance.origin == Origin::None));
     }
 
     #[test]
@@ -431,7 +475,7 @@ mod tests {
         let mut pb = PrefetchBuffer::new(4, 8);
         pb.insert(RegionAddr(3), 2, pattern(8, &[(1, CacheLevel::L1D), (5, CacheLevel::L2C)]));
         pb.insert(RegionAddr(9), 7, pattern(8, &[(3, CacheLevel::Llc)]));
-        pb.pop_targets(RegionAddr(3), 2, 1, Some(1));
+        pop(&mut pb, RegionAddr(3), 2, 1, Some(1));
         let mut w = ByteWriter::new();
         pb.encode_state(&mut w);
         let bytes = w.into_bytes();
@@ -463,5 +507,146 @@ mod tests {
         let mut r = ByteReader::new(&forged, "pb");
         let err = PrefetchBuffer::decode_state(&mut r, 2, 8, "pb").expect_err("bad tag");
         assert_eq!(err.kind_tag(), "corrupt");
+    }
+
+    /// The pre-rework pop, kept verbatim as the reference the
+    /// allocation-free [`PrefetchBuffer::pop_into`] must match: it
+    /// assembles every target, sorts by `(distance, offset)` and walks
+    /// the sorted list.
+    mod pop_ref {
+        use super::*;
+        use pmp_types::Rng64;
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        struct PendingTarget {
+            abs_offset: u8,
+            level: CacheLevel,
+        }
+
+        impl PrefetchBuffer {
+            fn pop_targets(
+                &mut self,
+                region: RegionAddr,
+                near: u8,
+                budget: usize,
+                low_level_limit: Option<usize>,
+            ) -> Vec<PendingTarget> {
+                self.clock += 1;
+                let clock = self.clock;
+                let len = self.geom.lines_per_region() as u16;
+                let Some(entry) =
+                    self.entries.iter_mut().find(|e| e.valid && e.region == region)
+                else {
+                    return Vec::new();
+                };
+                entry.lru = clock;
+                if budget == 0 {
+                    return Vec::new();
+                }
+                let trig = u16::from(entry.trigger_offset);
+                let mut targets: Vec<(u8, u8, CacheLevel)> = entry
+                    .pattern
+                    .iter_targets()
+                    .map(|(anch, level)| {
+                        let abs = ((trig + u16::from(anch)) % len) as u8;
+                        let dist = (i16::from(abs) - i16::from(near)).unsigned_abs() as u8;
+                        (dist, abs, level)
+                    })
+                    .collect();
+                targets.sort_unstable_by_key(|&(dist, abs, _)| (dist, abs));
+
+                let mut out = Vec::with_capacity(budget.min(targets.len()));
+                for (_, abs, level) in targets {
+                    if out.len() >= budget {
+                        break;
+                    }
+                    let anch = ((i16::from(abs) - i16::from(entry.trigger_offset))
+                        .rem_euclid(len as i16)) as u8;
+                    if level > CacheLevel::L1D {
+                        if let Some(limit) = low_level_limit {
+                            if entry.low_level_issued >= limit {
+                                entry.pattern.clear(anch);
+                                continue;
+                            }
+                            entry.low_level_issued += 1;
+                        }
+                    }
+                    entry.pattern.clear(anch);
+                    out.push(PendingTarget { abs_offset: abs, level });
+                }
+                if entry.pattern.is_empty() {
+                    entry.valid = false;
+                }
+                out
+            }
+        }
+
+        fn state(pb: &PrefetchBuffer) -> Vec<u8> {
+            let mut w = ByteWriter::new();
+            pb.encode_state(&mut w);
+            w.into_bytes()
+        }
+
+        /// A random pattern: each plane's density varies from sparse to
+        /// full, so every level mix and pattern size appears.
+        fn random_pattern(rng: &mut Rng64, len: u32) -> PrefetchPattern {
+            let mut plane = || {
+                let mut bits = rng.next_u64();
+                for _ in 0..rng.gen_range(0..3u32) {
+                    bits &= rng.next_u64();
+                }
+                bits
+            };
+            let (lo, hi) = (plane(), plane());
+            PrefetchPattern::from_planes(len, lo, hi)
+        }
+
+        #[test]
+        fn pop_into_matches_sorted_reference() {
+            let mut rng = Rng64::seed_from_u64(0x0B0F_F5E7);
+            for len in [8u32, 16, 32, 64] {
+                for trial in 0..300 {
+                    let mut new = PrefetchBuffer::new(4, len);
+                    let mut old = new.clone();
+                    for step in 0..24 {
+                        if rng.gen_range(0..3u32) == 0 {
+                            let region = RegionAddr(rng.gen_range(0..6u64));
+                            let trig = rng.gen_range(0..len) as u8;
+                            let p = random_pattern(&mut rng, len);
+                            new.insert(region, trig, p.clone());
+                            old.insert(region, trig, p);
+                        }
+                        let region = RegionAddr(rng.gen_range(0..6u64));
+                        let near = rng.gen_range(0..len) as u8;
+                        let budget = rng.gen_range(0..=16usize);
+                        let limit = [None, Some(1), Some(2)][rng.gen_range(0..3usize)];
+                        let mut out = Vec::new();
+                        new.pop_into(region, near, budget, limit, &mut out);
+                        let got: Vec<(u8, CacheLevel, u8)> = out
+                            .iter()
+                            .map(|r| {
+                                assert_eq!(new.geom.region_of_line(r.line), region);
+                                let abs = new.geom.offset_of_line(r.line);
+                                (abs, r.fill_level, r.provenance.degree_pos)
+                            })
+                            .collect();
+                        let want: Vec<(u8, CacheLevel, u8)> = old
+                            .pop_targets(region, near, budget, limit)
+                            .iter()
+                            .enumerate()
+                            .map(|(i, t)| (t.abs_offset, t.level, i as u8))
+                            .collect();
+                        let ctx = format!(
+                            "len={len} trial={trial} step={step} near={near} budget={budget} \
+                             limit={limit:?}"
+                        );
+                        assert_eq!(got, want, "{ctx}");
+                        // Leftover patterns, low-level counts, validity,
+                        // LRU stamps and clock: the whole wire state.
+                        assert_eq!(state(&new), state(&old), "{ctx}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -121,12 +121,65 @@ struct AtEntry {
     valid: bool,
 }
 
+impl AtEntry {
+    fn captured(&self) -> CapturedPattern {
+        CapturedPattern {
+            region: self.region,
+            trigger_offset: self.offset,
+            trigger_pc: self.pc,
+            pattern: self.pattern,
+        }
+    }
+}
+
+/// Probe key of an invalid way. No region reaches it: a region number
+/// is a line address shifted right by at least one offset bit.
+const INVALID: u64 = u64::MAX;
+
+/// A way's probe key: its region when valid, [`INVALID`] otherwise.
+#[inline]
+fn probe_key(valid: bool, region: RegionAddr) -> u64 {
+    if valid {
+        region.0
+    } else {
+        INVALID
+    }
+}
+
+/// The set `region` maps to among `sets` (a mask when `sets` is a
+/// power of two, as in every paper configuration).
+#[inline]
+fn set_of(region: RegionAddr, sets: usize) -> usize {
+    let r = region.0 as usize;
+    if sets.is_power_of_two() {
+        r & (sets - 1)
+    } else {
+        r % sets
+    }
+}
+
+/// The way in `keys` (one set's probe keys) holding `region`.
+#[inline]
+fn probe(keys: &[u64], region: RegionAddr) -> Option<usize> {
+    keys.iter().position(|&k| k == region.0)
+}
+
 /// The two-table capture engine.
+///
+/// Both tables are flat and set-major (way `w` of set `s` sits at
+/// `s * ways + w`), and each keeps a parallel array of per-way probe
+/// keys, so a lookup scans one set's keys — eight or sixteen adjacent
+/// `u64`s — instead of the entries themselves. The keys are derived
+/// state: entries keep their region and validity (invalid ways keep
+/// their stale region, which the snapshot carries), and
+/// [`PatternCapture::decode_state`] re-derives the keys.
 #[derive(Debug, Clone)]
 pub struct PatternCapture {
     cfg: CaptureConfig,
-    ft: Vec<Vec<FtEntry>>,
-    at: Vec<Vec<AtEntry>>,
+    ft: Vec<FtEntry>,
+    ft_keys: Vec<u64>,
+    at: Vec<AtEntry>,
+    at_keys: Vec<u64>,
     clock: u64,
 }
 
@@ -140,34 +193,31 @@ impl PatternCapture {
         assert!(cfg.ft_sets > 0 && cfg.ft_ways > 0, "degenerate FT");
         assert!(cfg.at_sets > 0 && cfg.at_ways > 0, "degenerate AT");
         let len = cfg.geometry.lines_per_region();
+        let ft_len = cfg.ft_sets * cfg.ft_ways;
+        let at_len = cfg.at_sets * cfg.at_ways;
         let ft = vec![
-            vec![
-                FtEntry {
-                    region: RegionAddr(0),
-                    pc: Pc(0),
-                    offset: 0,
-                    lru: 0,
-                    valid: false
-                };
-                cfg.ft_ways
-            ];
-            cfg.ft_sets
+            FtEntry { region: RegionAddr(0), pc: Pc(0), offset: 0, lru: 0, valid: false };
+            ft_len
         ];
         let at = vec![
-            vec![
-                AtEntry {
-                    region: RegionAddr(0),
-                    pc: Pc(0),
-                    offset: 0,
-                    pattern: BitPattern::new(len),
-                    lru: 0,
-                    valid: false
-                };
-                cfg.at_ways
-            ];
-            cfg.at_sets
+            AtEntry {
+                region: RegionAddr(0),
+                pc: Pc(0),
+                offset: 0,
+                pattern: BitPattern::new(len),
+                lru: 0,
+                valid: false
+            };
+            at_len
         ];
-        PatternCapture { cfg, ft, at, clock: 0 }
+        PatternCapture {
+            cfg,
+            ft,
+            ft_keys: vec![INVALID; ft_len],
+            at,
+            at_keys: vec![INVALID; at_len],
+            clock: 0,
+        }
     }
 
     /// The configured region geometry.
@@ -175,12 +225,24 @@ impl PatternCapture {
         self.cfg.geometry
     }
 
-    fn ft_set(&self, region: RegionAddr) -> usize {
-        (region.0 as usize) % self.cfg.ft_sets
+    /// First FT way of `region`'s set.
+    fn ft_base(&self, region: RegionAddr) -> usize {
+        set_of(region, self.cfg.ft_sets) * self.cfg.ft_ways
     }
 
-    fn at_set(&self, region: RegionAddr) -> usize {
-        (region.0 as usize) % self.cfg.at_sets
+    /// First AT way of `region`'s set.
+    fn at_base(&self, region: RegionAddr) -> usize {
+        set_of(region, self.cfg.at_sets) * self.cfg.at_ways
+    }
+
+    /// The AT way holding `region` in the set starting at `base`.
+    fn at_find(&self, base: usize, region: RegionAddr) -> Option<usize> {
+        probe(&self.at_keys[base..base + self.cfg.at_ways], region).map(|w| base + w)
+    }
+
+    /// The FT way holding `region` in the set starting at `base`.
+    fn ft_find(&self, base: usize, region: RegionAddr) -> Option<usize> {
+        probe(&self.ft_keys[base..base + self.cfg.ft_ways], region).map(|w| base + w)
     }
 
     /// Observe an L1D demand load.
@@ -192,29 +254,26 @@ impl PatternCapture {
         let offset = geom.offset_of_line(line);
 
         // 1. AT hit: accumulate.
-        let at_set = self.at_set(region);
-        if let Some(e) =
-            self.at[at_set].iter_mut().find(|e| e.valid && e.region == region)
-        {
+        let at_base = self.at_base(region);
+        if let Some(i) = self.at_find(at_base, region) {
+            let e = &mut self.at[i];
             e.pattern.set(offset);
             e.lru = clock;
             return CaptureOutcome::default();
         }
 
         // 2. FT hit: second (distinct-offset) access promotes to AT.
-        let ft_set = self.ft_set(region);
-        if let Some(fi) =
-            self.ft[ft_set].iter().position(|e| e.valid && e.region == region)
-        {
-            let fe = self.ft[ft_set][fi];
+        let ft_base = self.ft_base(region);
+        if let Some(i) = self.ft_find(ft_base, region) {
+            let fe = self.ft[i];
             if fe.offset == offset {
                 // Same line again: stays in the FT.
-                self.ft[ft_set][fi].lru = clock;
+                self.ft[i].lru = clock;
                 return CaptureOutcome::default();
             }
-            self.ft[ft_set][fi].valid = false;
-            let len = geom.lines_per_region();
-            let mut pattern = BitPattern::new(len);
+            self.ft[i].valid = false;
+            self.ft_keys[i] = INVALID;
+            let mut pattern = BitPattern::new(geom.lines_per_region());
             pattern.set(fe.offset);
             pattern.set(offset);
             let new_entry = AtEntry {
@@ -225,61 +284,51 @@ impl PatternCapture {
                 lru: clock,
                 valid: true,
             };
-            let flushed = self.at_insert(at_set, new_entry);
+            let flushed = self.at_insert(at_base, new_entry);
             return CaptureOutcome { trigger: None, flushed };
         }
 
         // 3. Miss in both: trigger access — allocate an FT entry.
-        let victim = self.ft[ft_set]
-            .iter_mut()
-            .min_by_key(|e| if e.valid { e.lru } else { 0 })
+        let victim = (ft_base..ft_base + self.cfg.ft_ways)
+            .min_by_key(|&i| if self.ft[i].valid { self.ft[i].lru } else { 0 })
             .expect("non-empty FT set");
-        *victim = FtEntry { region, pc, offset, lru: clock, valid: true };
+        self.ft[victim] = FtEntry { region, pc, offset, lru: clock, valid: true };
+        self.ft_keys[victim] = region.0;
         CaptureOutcome {
             trigger: Some(TriggerEvent { region, offset, pc }),
             flushed: None,
         }
     }
 
-    fn at_insert(&mut self, set: usize, entry: AtEntry) -> Option<CapturedPattern> {
-        if let Some(e) = self.at[set].iter_mut().find(|e| !e.valid) {
-            *e = entry;
-            return None;
-        }
-        let victim =
-            self.at[set].iter_mut().min_by_key(|e| e.lru).expect("non-empty AT set");
-        let flushed = CapturedPattern {
-            region: victim.region,
-            trigger_offset: victim.offset,
-            trigger_pc: victim.pc,
-            pattern: victim.pattern,
+    /// Place `entry` in its AT set (starting at `base`): the first
+    /// invalid way, else the LRU way, whose pattern is flushed.
+    fn at_insert(&mut self, base: usize, entry: AtEntry) -> Option<CapturedPattern> {
+        let ways = base..base + self.cfg.at_ways;
+        let (slot, flushed) = match ways.clone().find(|&i| !self.at[i].valid) {
+            Some(i) => (i, None),
+            None => {
+                let i = ways.min_by_key(|&i| self.at[i].lru).expect("non-empty AT set");
+                (i, Some(self.at[i].captured()))
+            }
         };
-        *victim = entry;
-        Some(flushed)
+        self.at_keys[slot] = entry.region.0;
+        self.at[slot] = entry;
+        flushed
     }
 
     /// Observe an L1D eviction: if a line of an accumulating region
     /// leaves the cache, the region's pattern is complete.
     pub fn on_evict(&mut self, line: LineAddr) -> Option<CapturedPattern> {
         let region = self.cfg.geometry.region_of_line(line);
-        let at_set = self.at_set(region);
-        if let Some(e) =
-            self.at[at_set].iter_mut().find(|e| e.valid && e.region == region)
-        {
-            e.valid = false;
-            return Some(CapturedPattern {
-                region: e.region,
-                trigger_offset: e.offset,
-                trigger_pc: e.pc,
-                pattern: e.pattern,
-            });
+        if let Some(i) = self.at_find(self.at_base(region), region) {
+            self.at[i].valid = false;
+            self.at_keys[i] = INVALID;
+            return Some(self.at[i].captured());
         }
         // A single-access region in the FT carries no pattern.
-        let ft_set = self.ft_set(region);
-        if let Some(e) =
-            self.ft[ft_set].iter_mut().find(|e| e.valid && e.region == region)
-        {
-            e.valid = false;
+        if let Some(i) = self.ft_find(self.ft_base(region), region) {
+            self.ft[i].valid = false;
+            self.ft_keys[i] = INVALID;
         }
         None
     }
@@ -292,33 +341,30 @@ impl PatternCapture {
         w.put_u64(self.clock);
         w.put_u32(self.cfg.ft_sets as u32);
         w.put_u32(self.cfg.ft_ways as u32);
-        for set in &self.ft {
-            for e in set {
-                w.put_u64(e.region.0);
-                w.put_u64(e.pc.0);
-                w.put_u8(e.offset);
-                w.put_u64(e.lru);
-                w.put_bool(e.valid);
-            }
+        for e in &self.ft {
+            w.put_u64(e.region.0);
+            w.put_u64(e.pc.0);
+            w.put_u8(e.offset);
+            w.put_u64(e.lru);
+            w.put_bool(e.valid);
         }
         w.put_u32(self.cfg.at_sets as u32);
         w.put_u32(self.cfg.at_ways as u32);
-        for set in &self.at {
-            for e in set {
-                w.put_u64(e.region.0);
-                w.put_u64(e.pc.0);
-                w.put_u8(e.offset);
-                w.put_u64(e.pattern.bits());
-                w.put_u64(e.lru);
-                w.put_bool(e.valid);
-            }
+        for e in &self.at {
+            w.put_u64(e.region.0);
+            w.put_u64(e.pc.0);
+            w.put_u8(e.offset);
+            w.put_u64(e.pattern.bits());
+            w.put_u64(e.lru);
+            w.put_bool(e.valid);
         }
     }
 
     /// Rebuild a capture engine from snapshot bytes under `cfg`,
     /// validating geometry (set/way counts must match the restoring
     /// configuration) and bounds-checking every offset against the
-    /// region size.
+    /// region size. The probe keys are not on the wire; they are
+    /// re-derived from each way's region and validity.
     ///
     /// # Errors
     ///
@@ -342,24 +388,20 @@ impl PatternCapture {
                 ),
             ));
         }
-        let mut ft = Vec::with_capacity(ft_sets);
-        for _ in 0..ft_sets {
-            let mut set = Vec::with_capacity(ft_ways);
-            for _ in 0..ft_ways {
-                let region = RegionAddr(r.take_u64()?);
-                let pc = Pc(r.take_u64()?);
-                let offset = r.take_u8()?;
-                let lru = r.take_u64()?;
-                let valid = r.take_bool()?;
-                if valid && u32::from(offset) >= len {
-                    return Err(SnapshotError::corrupt(
-                        context,
-                        format!("FT trigger offset {offset} outside {len}-line region"),
-                    ));
-                }
-                set.push(FtEntry { region, pc, offset, lru, valid });
+        let mut ft = Vec::with_capacity(ft_sets * ft_ways);
+        for _ in 0..ft_sets * ft_ways {
+            let region = RegionAddr(r.take_u64()?);
+            let pc = Pc(r.take_u64()?);
+            let offset = r.take_u8()?;
+            let lru = r.take_u64()?;
+            let valid = r.take_bool()?;
+            if valid && u32::from(offset) >= len {
+                return Err(SnapshotError::corrupt(
+                    context,
+                    format!("FT trigger offset {offset} outside {len}-line region"),
+                ));
             }
-            ft.push(set);
+            ft.push(FtEntry { region, pc, offset, lru, valid });
         }
         let at_sets = r.take_u32()? as usize;
         let at_ways = r.take_u32()? as usize;
@@ -372,55 +414,49 @@ impl PatternCapture {
                 ),
             ));
         }
-        let mut at = Vec::with_capacity(at_sets);
-        for _ in 0..at_sets {
-            let mut set = Vec::with_capacity(at_ways);
-            for _ in 0..at_ways {
-                let region = RegionAddr(r.take_u64()?);
-                let pc = Pc(r.take_u64()?);
-                let offset = r.take_u8()?;
-                let bits = r.take_u64()?;
-                let lru = r.take_u64()?;
-                let valid = r.take_bool()?;
-                if valid && u32::from(offset) >= len {
-                    return Err(SnapshotError::corrupt(
-                        context,
-                        format!("AT trigger offset {offset} outside {len}-line region"),
-                    ));
-                }
-                if len < 64 && bits >> len != 0 {
-                    return Err(SnapshotError::corrupt(
-                        context,
-                        format!("AT pattern bits beyond the {len}-line region"),
-                    ));
-                }
-                set.push(AtEntry {
-                    region,
-                    pc,
-                    offset,
-                    pattern: BitPattern::from_bits(bits, len),
-                    lru,
-                    valid,
-                });
+        let mut at = Vec::with_capacity(at_sets * at_ways);
+        for _ in 0..at_sets * at_ways {
+            let region = RegionAddr(r.take_u64()?);
+            let pc = Pc(r.take_u64()?);
+            let offset = r.take_u8()?;
+            let bits = r.take_u64()?;
+            let lru = r.take_u64()?;
+            let valid = r.take_bool()?;
+            if valid && u32::from(offset) >= len {
+                return Err(SnapshotError::corrupt(
+                    context,
+                    format!("AT trigger offset {offset} outside {len}-line region"),
+                ));
             }
-            at.push(set);
+            if len < 64 && bits >> len != 0 {
+                return Err(SnapshotError::corrupt(
+                    context,
+                    format!("AT pattern bits beyond the {len}-line region"),
+                ));
+            }
+            at.push(AtEntry {
+                region,
+                pc,
+                offset,
+                pattern: BitPattern::from_bits(bits, len),
+                lru,
+                valid,
+            });
         }
-        Ok(PatternCapture { cfg: cfg.clone(), ft, at, clock })
+        let ft_keys = ft.iter().map(|e| probe_key(e.valid, e.region)).collect();
+        let at_keys = at.iter().map(|e| probe_key(e.valid, e.region)).collect();
+        Ok(PatternCapture { cfg: cfg.clone(), ft, ft_keys, at, at_keys, clock })
     }
 
     /// Drain every accumulated pattern (end-of-simulation flush, used
     /// by the analysis tooling to avoid losing in-flight patterns).
     pub fn drain(&mut self) -> Vec<CapturedPattern> {
         let mut out = Vec::new();
-        for set in &mut self.at {
-            for e in set.iter_mut().filter(|e| e.valid) {
+        for (e, key) in self.at.iter_mut().zip(&mut self.at_keys) {
+            if e.valid {
                 e.valid = false;
-                out.push(CapturedPattern {
-                    region: e.region,
-                    trigger_offset: e.offset,
-                    trigger_pc: e.pc,
-                    pattern: e.pattern,
-                });
+                *key = INVALID;
+                out.push(e.captured());
             }
         }
         out

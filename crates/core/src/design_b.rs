@@ -152,9 +152,7 @@ impl Prefetcher for DesignB {
                 }
             }
         }
-        for t in self.buffer.pop_targets(region, offset, info.pq_free, None) {
-            out.push(PrefetchRequest::new(geom.line_of(region, t.abs_offset), t.level));
-        }
+        self.buffer.pop_into(region, offset, info.pq_free, None, out);
     }
 
     fn on_evict(&mut self, info: &EvictInfo) {

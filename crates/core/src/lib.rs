@@ -49,6 +49,8 @@ pub mod adaptive;
 pub mod arbiter;
 pub mod buffer;
 pub mod capture;
+#[cfg(test)]
+mod capture_ref;
 pub mod counter_vec;
 pub mod cross_page;
 pub mod design_b;

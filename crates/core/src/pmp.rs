@@ -591,10 +591,10 @@ impl Prefetcher for Pmp {
                         for (o, l) in spec.iter_targets() {
                             down.set(o, l.downgraded());
                         }
-                        // Include the expected trigger line itself: it is
-                        // offset 0 of the speculative pattern, which the
-                        // buffer never issues — so add it explicitly one
-                        // past if free, or rely on the pattern body.
+                        // The speculative pattern omits its own trigger
+                        // line: anchored offset 0, which extraction never
+                        // selects, is left to the demand access that
+                        // opens the region.
                         if !down.is_empty() {
                             let origin = self.origin_for(next_line, pc, next_off);
                             self.buffer.insert_with_origin(next_region, next_off, down, origin);
@@ -605,21 +605,7 @@ impl Prefetcher for Pmp {
         }
 
         // 3. Issue from the Prefetch Buffer, bounded by free PQ entries.
-        let origin = self.buffer.origin_of(region);
-        let targets = self.buffer.pop_targets(
-            region,
-            offset,
-            info.pq_free,
-            self.cfg.low_level_degree,
-        );
-        for (i, t) in targets.into_iter().enumerate() {
-            let target_line = geom.line_of(region, t.abs_offset);
-            out.push(PrefetchRequest::with_provenance(
-                target_line,
-                t.level,
-                pmp_types::Provenance::at(origin, i),
-            ));
-        }
+        self.buffer.pop_into(region, offset, info.pq_free, self.cfg.low_level_degree, out);
     }
 
     fn on_evict(&mut self, info: &EvictInfo) {

@@ -19,14 +19,25 @@ use std::collections::{BinaryHeap, VecDeque};
 /// the driver calls [`Cpu::begin_mem_op`] to learn the issue cycle,
 /// resolves the latency through the hierarchy, and completes the
 /// instruction with [`Cpu::dispatch_load`] / [`Cpu::dispatch_store`].
+///
+/// The ROB is run-length encoded: consecutive in-flight instructions
+/// with the same completion cycle share one `(completion, count)` run.
+/// Retirement is in order and only compares completion cycles, so
+/// retiring `k` instructions from the head run is exactly `k`
+/// single-instruction retirements; the non-memory instructions
+/// dispatched in one cycle, which all complete the next cycle, land in
+/// one run.
 #[derive(Debug)]
 pub struct Cpu {
     width: usize,
     rob_size: usize,
     lq_size: usize,
     sq_size: usize,
-    /// Completion cycle of each in-flight instruction, in program order.
-    rob: VecDeque<u64>,
+    /// In-flight instructions in program order, as runs of equal
+    /// completion cycles.
+    rob: VecDeque<(u64, usize)>,
+    /// Instructions in the ROB (the sum of the run counts).
+    rob_len: usize,
     /// Completion cycles of in-flight loads (bounds the LQ), as a
     /// min-heap: freeing an entry is a pop of the earliest completion
     /// instead of a full-queue scan, which the per-cycle reclaim would
@@ -37,7 +48,6 @@ pub struct Cpu {
     now: u64,
     dispatched_this_cycle: usize,
     retired: u64,
-    dispatched: u64,
     last_load_complete: u64,
 }
 
@@ -51,12 +61,12 @@ impl Cpu {
             lq_size: cfg.lq_entries,
             sq_size: cfg.sq_entries,
             rob: VecDeque::with_capacity(cfg.rob_entries),
+            rob_len: 0,
             loads: BinaryHeap::with_capacity(cfg.lq_entries),
             stores: BinaryHeap::with_capacity(cfg.sq_entries),
             now: 0,
             dispatched_this_cycle: 0,
             retired: 0,
-            dispatched: 0,
             last_load_complete: 0,
         }
     }
@@ -78,8 +88,8 @@ impl Cpu {
     fn advance_cycle(&mut self) {
         // If the ROB is full and the head has not completed, nothing can
         // happen until it does — skip straight there.
-        if self.rob.len() == self.rob_size {
-            if let Some(&head) = self.rob.front() {
+        if self.rob_len == self.rob_size {
+            if let Some(&(head, _)) = self.rob.front() {
                 if head > self.now {
                     self.now = head;
                 }
@@ -87,11 +97,18 @@ impl Cpu {
         }
         self.now += 1;
         self.dispatched_this_cycle = 0;
-        for _ in 0..self.width {
-            match self.rob.front() {
-                Some(&c) if c <= self.now => {
-                    self.rob.pop_front();
-                    self.retired += 1;
+        let mut slots = self.width;
+        while slots > 0 {
+            match self.rob.front_mut() {
+                Some((c, count)) if *c <= self.now => {
+                    let k = slots.min(*count);
+                    *count -= k;
+                    if *count == 0 {
+                        self.rob.pop_front();
+                    }
+                    slots -= k;
+                    self.rob_len -= k;
+                    self.retired += k as u64;
                 }
                 _ => break,
             }
@@ -109,17 +126,33 @@ impl Cpu {
 
     /// Block until an instruction slot (ROB + width) is available.
     fn wait_dispatch_slot(&mut self) {
-        while self.dispatched_this_cycle == self.width || self.rob.len() == self.rob_size {
+        while self.dispatched_this_cycle == self.width || self.rob_len == self.rob_size {
             self.advance_cycle();
         }
     }
 
-    /// Dispatch one non-memory instruction (1-cycle execute).
-    pub fn dispatch_nonmem(&mut self) {
-        self.wait_dispatch_slot();
-        self.rob.push_back(self.now + 1);
-        self.dispatched_this_cycle += 1;
-        self.dispatched += 1;
+    /// Append `count` instructions completing at `complete` to the ROB
+    /// tail, extending the tail run when it completes then too.
+    fn rob_push(&mut self, complete: u64, count: usize) {
+        match self.rob.back_mut() {
+            Some((c, n)) if *c == complete => *n += count,
+            _ => self.rob.push_back((complete, count)),
+        }
+        self.rob_len += count;
+        self.dispatched_this_cycle += count;
+    }
+
+    /// Dispatch `n` non-memory instructions (1-cycle execute), as many
+    /// per cycle as the dispatch width and the free ROB entries allow.
+    pub fn dispatch_nonmem(&mut self, mut n: usize) {
+        while n > 0 {
+            self.wait_dispatch_slot();
+            let k = n
+                .min(self.width - self.dispatched_this_cycle)
+                .min(self.rob_size - self.rob_len);
+            self.rob_push(self.now + 1, k);
+            n -= k;
+        }
     }
 
     /// Reserve a dispatch slot for a memory instruction and return the
@@ -148,27 +181,23 @@ impl Cpu {
     /// Complete a load dispatched at `issue` with the given `latency`.
     pub fn dispatch_load(&mut self, issue: u64, latency: u64) {
         let complete = issue + latency.max(1);
-        self.rob.push_back(complete);
+        self.rob_push(complete, 1);
         self.loads.push(Reverse(complete));
         self.last_load_complete = complete;
-        self.dispatched_this_cycle += 1;
-        self.dispatched += 1;
     }
 
     /// Complete a store: it retires quickly (commits from the SQ after
     /// retirement), but occupies an SQ entry until the write completes.
     pub fn dispatch_store(&mut self, issue: u64, latency: u64) {
-        self.rob.push_back(self.now + 1);
+        self.rob_push(self.now + 1, 1);
         let complete = issue + latency.max(1);
         self.stores.push(Reverse(complete));
-        self.dispatched_this_cycle += 1;
-        self.dispatched += 1;
     }
 
     /// Drain the ROB; returns the cycle at which the last instruction
     /// retired.
     pub fn drain(&mut self) -> u64 {
-        while !self.rob.is_empty() {
+        while self.rob_len > 0 {
             self.advance_cycle();
         }
         self.now
@@ -186,9 +215,7 @@ mod tests {
     #[test]
     fn nonmem_ipc_approaches_width() {
         let mut c = core();
-        for _ in 0..4000 {
-            c.dispatch_nonmem();
-        }
+        c.dispatch_nonmem(4000);
         let cycles = c.drain();
         let ipc = 4000.0 / cycles as f64;
         assert!(ipc > 3.5, "ipc = {ipc}");
@@ -247,7 +274,7 @@ mod tests {
     #[test]
     fn retired_counts_everything() {
         let mut c = core();
-        c.dispatch_nonmem();
+        c.dispatch_nonmem(1);
         let issue = c.begin_mem_op(true, false);
         c.dispatch_load(issue, 5);
         let issue = c.begin_mem_op(false, false);

@@ -326,9 +326,7 @@ impl<T: Tracer> Engine<T> {
         if d.snap.is_none() && d.dispatched >= warmup {
             d.snap = Some((d.dispatched, d.cpu.now(), d.stats));
         }
-        for _ in 0..op.nonmem_before {
-            d.cpu.dispatch_nonmem();
-        }
+        d.cpu.dispatch_nonmem(usize::from(op.nonmem_before));
         let is_load = op.access.kind.is_load();
         let issue = d.cpu.begin_mem_op(is_load, op.dep_on_prev_load);
         self.events.clear();

@@ -52,6 +52,8 @@
 pub mod cache;
 pub mod config;
 pub mod cpu;
+#[cfg(test)]
+mod cpu_ref;
 pub mod dram;
 pub mod engine;
 pub mod hierarchy;

@@ -273,6 +273,22 @@ impl PrefetchPattern {
         PrefetchPattern { len: len as u8, lo: l1d, hi: l2c & keep & !l1d }
     }
 
+    /// Rebuild a pattern from its two code planes (see the type docs);
+    /// plane bits at or above `len` are ignored.
+    #[inline]
+    pub fn from_planes(len: u32, lo: u64, hi: u64) -> Self {
+        assert!((2..=64).contains(&len), "pattern length must be in 2..=64, got {len}");
+        let keep = if len == 64 { u64::MAX } else { (1u64 << len) - 1 };
+        PrefetchPattern { len: len as u8, lo: lo & keep, hi: hi & keep }
+    }
+
+    /// The two code planes `(lo, hi)`: offset `i`'s target code is
+    /// `hi_i lo_i`.
+    #[inline]
+    pub fn planes(&self) -> (u64, u64) {
+        (self.lo, self.hi)
+    }
+
     /// Panic (matching slice-index semantics) when `off` is out of range.
     #[inline]
     fn check(&self, off: u8) {
