@@ -1,30 +1,25 @@
 //! Comparing `BENCH_*.json` trajectory files for regressions.
 //!
-//! Both emitters in this repo (`BENCH_sim.json` from `sim_throughput`,
-//! `BENCH_sweep.json` from the sweep telemetry) are line-oriented,
-//! serde-free JSON whose throughput metrics are named `ops_per_sec` /
-//! `cells_per_sec` and whose entries are labelled by a preceding
-//! `"name"` field. This module extracts those `(label, metric, value)`
-//! triples from two files and classifies each shared metric as
+//! Both bodies are read with [`pmp_types::json`]. Every numeric member
+//! named by the chosen [`MetricSet`] (`ops_per_sec` / `cells_per_sec`
+//! for throughput) becomes a `(label, metric, value)` triple, labelled
+//! by the `name` (or, in attribution documents, `origin`) of the
+//! nearest enclosing object that has one. Layout does not matter: a
+//! compact, pretty or re-indented rendering of the same document
+//! yields the same triples. Each shared metric is then classified as
 //! regressed, improved, or steady against a relative threshold —
 //! higher is always better for the extracted metrics, so a regression
 //! is `new < old * (1 - threshold)`.
 //!
-//! The parser deliberately reads only what the comparison needs: a
-//! full JSON parser would be more code than the rest of the harness's
-//! serialization combined, and both producers are in-repo.
+//! A body that is not JSON, or a baseline with no metric of the set,
+//! makes the comparison fail ([`BenchDiff::errors`]) rather than pass
+//! with nothing compared.
 
+use pmp_types::json::{self, Json};
 use std::fmt::Write as _;
 
-/// Metric field names worth gating on (throughputs: higher is better).
-const METRIC_KEYS: [&str; 2] = ["ops_per_sec", "cells_per_sec"];
-
-/// Decision-quality field names (ratios in [0,1] plus IPC: higher is
-/// better), as emitted by `pf_attrib` — the aggregate block and every
-/// per-origin row. Used with [`MetricSet::Decision`].
-const DECISION_KEYS: [&str; 4] = ["ipc", "accuracy", "timeliness", "coverage"];
-
-/// Which metric family to extract and compare.
+/// Which metric family to extract and compare (higher is better for
+/// every field of both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricSet {
     /// Throughput fields from `BENCH_*.json` (`ops_per_sec`,
@@ -42,14 +37,15 @@ pub enum MetricSet {
 impl MetricSet {
     fn keys(self) -> &'static [&'static str] {
         match self {
-            MetricSet::Throughput => &METRIC_KEYS,
-            MetricSet::Decision => &DECISION_KEYS,
+            MetricSet::Throughput => &["ops_per_sec", "cells_per_sec"],
+            MetricSet::Decision => &["ipc", "accuracy", "timeliness", "coverage"],
         }
     }
 }
 
-/// One extracted throughput sample: `label` is the nearest preceding
-/// `"name"` (empty for top-level aggregates).
+/// One extracted sample: `label` is the `name` or `origin` of the
+/// nearest enclosing object that has one (empty for top-level
+/// aggregates).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
     /// `label/field` identity, e.g. `"demand_walk/ops_per_sec"`.
@@ -58,68 +54,41 @@ pub struct Metric {
     pub value: f64,
 }
 
-/// Extract `"key": number` for `field` from a single line, requiring
-/// an exact field name (so `ops_per_sec` does not match
-/// `baseline_ops_per_sec`).
-fn exact_field(line: &str, field: &str) -> Option<f64> {
-    let pat = format!("\"{field}\":");
-    let mut from = 0;
-    while let Some(rel) = line[from..].find(&pat) {
-        let at = from + rel;
-        // Reject a longer field name ending in ours: the byte before
-        // the opening quote must not be part of an identifier.
-        let exact = at == 0 || !line.as_bytes()[at - 1].is_ascii_alphanumeric() && line.as_bytes()[at - 1] != b'_';
-        if exact {
-            let tail = line[at + pat.len()..].trim_start();
-            let num: String = tail
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == 'E' || *c == '+')
-                .collect();
-            return num.parse().ok();
-        }
-        from = at + pat.len();
-    }
-    None
-}
-
-/// The nearest `"name": "..."` (or, for attribution documents,
-/// `"origin": "..."`) on this line, if any.
-fn name_field(line: &str) -> Option<&str> {
-    for pat in ["\"name\": \"", "\"origin\": \""] {
-        if let Some(at) = line.find(pat) {
-            let start = at + pat.len();
-            let end = line[start..].find('"')?;
-            return Some(&line[start..start + end]);
-        }
-    }
-    None
-}
-
-/// Pull every labelled throughput metric out of a `BENCH_*.json` body.
-pub fn extract_metrics(body: &str) -> Vec<Metric> {
-    extract_metrics_for(body, MetricSet::Throughput)
-}
-
-/// Pull every labelled metric of `set` out of a JSON body.
-pub fn extract_metrics_for(body: &str, set: MetricSet) -> Vec<Metric> {
+/// Pull every labelled metric of `set` out of a JSON body, in
+/// document order.
+///
+/// # Errors
+///
+/// The reader's message when `body` is not JSON.
+pub fn extract_metrics_for(body: &str, set: MetricSet) -> Result<Vec<Metric>, String> {
     let mut out = Vec::new();
-    let mut label = String::new();
-    for line in body.lines() {
-        if let Some(name) = name_field(line) {
-            label = name.to_string();
-        }
-        for &field in set.keys() {
-            if let Some(value) = exact_field(line, field) {
-                let key = if label.is_empty() {
-                    field.to_string()
-                } else {
-                    format!("{label}/{field}")
-                };
-                out.push(Metric { key, value });
+    collect(&json::parse(body)?, "", set.keys(), &mut out);
+    Ok(out)
+}
+
+fn collect(value: &Json, label: &str, fields: &[&str], out: &mut Vec<Metric>) {
+    match value {
+        Json::Arr(items) => items.iter().for_each(|item| collect(item, label, fields, out)),
+        Json::Obj(members) => {
+            let label = ["name", "origin"]
+                .iter()
+                .find_map(|k| value.get(k).and_then(Json::as_str))
+                .unwrap_or(label);
+            for (field, child) in members {
+                match child.number() {
+                    Some(value) if fields.contains(&field.as_str()) => {
+                        let key = match label {
+                            "" => field.clone(),
+                            _ => format!("{label}/{field}"),
+                        };
+                        out.push(Metric { key, value });
+                    }
+                    _ => collect(child, label, fields, out),
+                }
             }
         }
+        _ => {}
     }
-    out
 }
 
 /// One compared metric.
@@ -146,6 +115,9 @@ pub struct BenchDiff {
     pub removed: Vec<String>,
     /// Keys only in the new file.
     pub added: Vec<String>,
+    /// Why no comparison could be made: a body that is not JSON, or a
+    /// baseline without a single metric of the set. Empty on success.
+    pub errors: Vec<String>,
 }
 
 impl BenchDiff {
@@ -162,9 +134,19 @@ impl BenchDiff {
         threshold: f64,
         set: MetricSet,
     ) -> BenchDiff {
-        let old = extract_metrics_for(old_body, set);
-        let new = extract_metrics_for(new_body, set);
         let mut diff = BenchDiff::default();
+        let mut read = |side: &str, body: &str| {
+            extract_metrics_for(body, set)
+                .map_err(|e| diff.errors.push(format!("{side} is not JSON: {e}")))
+                .unwrap_or_default()
+        };
+        let (old, new) = (read("baseline", old_body), read("new run", new_body));
+        if old.is_empty() && diff.errors.is_empty() {
+            diff.errors.push(format!("baseline has no {} metric", set.keys().join("/")));
+        }
+        if !diff.errors.is_empty() {
+            return diff;
+        }
         for o in &old {
             match new.iter().find(|n| n.key == o.key) {
                 Some(n) => {
@@ -188,10 +170,13 @@ impl BenchDiff {
         diff
     }
 
-    /// Any metric past the threshold (a *removed* metric also counts —
-    /// silently dropping a gated number must not read as a pass).
+    /// Any metric past the threshold (a *removed* metric, or a failed
+    /// comparison, also counts — silently dropping a gated number must
+    /// not read as a pass).
     pub fn has_regression(&self) -> bool {
-        !self.removed.is_empty() || self.compared.iter().any(|d| d.regressed)
+        !self.errors.is_empty()
+            || !self.removed.is_empty()
+            || self.compared.iter().any(|d| d.regressed)
     }
 
     /// Human-readable comparison table.
@@ -220,8 +205,8 @@ impl BenchDiff {
         for key in &self.added {
             let _ = writeln!(out, "{key:<40} new metric (no baseline)");
         }
-        if self.compared.is_empty() && self.removed.is_empty() {
-            let _ = writeln!(out, "no comparable metrics found");
+        for error in &self.errors {
+            let _ = writeln!(out, "error: {error}");
         }
         out
     }
@@ -250,7 +235,7 @@ mod tests {
 
     #[test]
     fn extracts_exact_fields_only() {
-        let metrics = extract_metrics(SIM_STYLE);
+        let metrics = extract_metrics_for(SIM_STYLE, MetricSet::Throughput).expect("valid");
         // baseline_ops_per_sec must NOT match; two workloads → two
         // metrics.
         assert_eq!(metrics.len(), 2);
@@ -261,7 +246,7 @@ mod tests {
 
     #[test]
     fn extracts_sweep_aggregates_without_label() {
-        let metrics = extract_metrics(SWEEP_STYLE);
+        let metrics = extract_metrics_for(SWEEP_STYLE, MetricSet::Throughput).expect("valid");
         assert_eq!(metrics.len(), 2);
         assert_eq!(metrics[0].key, "ops_per_sec");
         assert_eq!(metrics[1].key, "cells_per_sec");
@@ -314,8 +299,8 @@ mod tests {
     #[test]
     fn decision_set_extracts_aggregate_and_per_origin_rows() {
         // Throughput set sees nothing in an attribution document.
-        assert!(extract_metrics(ATTRIB_STYLE).is_empty());
-        let metrics = extract_metrics_for(ATTRIB_STYLE, MetricSet::Decision);
+        assert!(extract_metrics_for(ATTRIB_STYLE, MetricSet::Throughput).expect("valid").is_empty());
+        let metrics = extract_metrics_for(ATTRIB_STYLE, MetricSet::Decision).expect("valid");
         let keys: Vec<&str> = metrics.iter().map(|m| m.key.as_str()).collect();
         assert_eq!(
             keys,
@@ -359,6 +344,103 @@ mod tests {
             let diff = BenchDiff::compare(body, body, 0.10);
             assert!(!diff.has_regression());
             assert!(diff.compared.iter().all(|d| (d.ratio - 1.0).abs() < 1e-12));
+        }
+    }
+
+    fn pairs(body: &str, set: MetricSet) -> Vec<(String, f64)> {
+        let metrics = extract_metrics_for(body, set).expect("valid JSON");
+        metrics.into_iter().map(|m| (m.key, m.value)).collect()
+    }
+
+    #[test]
+    fn layout_does_not_change_the_extracted_metrics() {
+        for (body, set) in [
+            (SIM_STYLE, MetricSet::Throughput),
+            (SWEEP_STYLE, MetricSet::Throughput),
+            (ATTRIB_STYLE, MetricSet::Decision),
+        ] {
+            let doc = json::parse(body).expect("valid");
+            let compact = doc.to_string();
+            let pretty = doc.pretty();
+            let spaced = pretty.replace("\": ", "\" : ");
+            let expected = pairs(body, set);
+            assert!(!expected.is_empty());
+            for rendering in [&compact, &pretty, &spaced] {
+                assert_eq!(pairs(rendering, set), expected, "{rendering}");
+            }
+        }
+    }
+
+    #[test]
+    fn compact_documents_label_every_entry() {
+        let body = r#"{"workloads":[{"name":"a","ops_per_sec":1},{"name":"b","ops_per_sec":2}]}"#;
+        assert_eq!(
+            pairs(body, MetricSet::Throughput),
+            [("a/ops_per_sec".to_string(), 1.0), ("b/ops_per_sec".to_string(), 2.0)]
+        );
+        // A label reaches nested objects but not the entry's siblings.
+        let body = r#"[{"name":"a","inner":{"ops_per_sec":3}},{"ops_per_sec":4}]"#;
+        assert_eq!(
+            pairs(body, MetricSet::Throughput),
+            [("a/ops_per_sec".to_string(), 3.0), ("ops_per_sec".to_string(), 4.0)]
+        );
+    }
+
+    #[test]
+    fn unreadable_or_metricless_bodies_fail_the_comparison() {
+        for (old, new, needle) in [
+            ("not json at all", SIM_STYLE, "baseline is not JSON"),
+            (SIM_STYLE, "{\"workloads\": [", "new run is not JSON"),
+            (ATTRIB_STYLE, ATTRIB_STYLE, "baseline has no ops_per_sec/cells_per_sec metric"),
+        ] {
+            let diff = BenchDiff::compare(old, new, 0.10);
+            assert!(diff.has_regression());
+            assert!(diff.compared.is_empty() && diff.removed.is_empty());
+            assert!(diff.errors.iter().any(|e| e.contains(needle)), "{:?}", diff.errors);
+            assert!(diff.report().contains(needle), "{}", diff.report());
+        }
+        assert!(BenchDiff::compare(SIM_STYLE, SIM_STYLE, 0.10).errors.is_empty());
+    }
+
+    /// The key lists the line scraper this reader replaced extracted
+    /// from the committed artifacts.
+    #[test]
+    fn committed_artifacts_yield_the_line_scraper_keys() {
+        let sim = [
+            "demand_walk", "prefetch_walk", "system_stream", "system_nextline",
+            "system_obscollector", "system_pmp", "on_access_pmp", "on_access_bingo",
+            "on_access_dspatch", "on_access_spp-ppf", "on_access_pythia", "on_access_sms",
+        ];
+        let core = [
+            "merge", "halve", "extract_ane", "extract_are", "extract_afe", "pb_pop",
+            "capture_on_load", "capture_on_evict", "arbitrate",
+        ];
+        let per_row = |rows: &[&str]| -> Vec<String> {
+            rows.iter().map(|r| format!("{r}/ops_per_sec")).collect()
+        };
+        let origins = ["pmp/merged[0]@t0 g3", "pmp/merged[0]@t0 g4", "pmp/merged[0]@t0 g2"];
+        let mut attrib: Vec<String> = ["ipc", "accuracy", "timeliness"].map(String::from).into();
+        for o in origins {
+            attrib.extend([format!("{o}/accuracy"), format!("{o}/timeliness")]);
+        }
+        for (body, set, expected) in [
+            (include_str!("../../../results/BENCH_sim.json"), MetricSet::Throughput, per_row(&sim)),
+            (
+                include_str!("../../../results/BENCH_core.json"),
+                MetricSet::Throughput,
+                per_row(&core),
+            ),
+            (
+                include_str!("../../../results/BENCH_sweep.json"),
+                MetricSet::Throughput,
+                vec!["ops_per_sec".into(), "cells_per_sec".into()],
+            ),
+            (include_str!("../../../results/obs/pf_attrib.json"), MetricSet::Decision, attrib),
+        ] {
+            let keys: Vec<String> = pairs(body, set).into_iter().map(|(k, _)| k).collect();
+            assert_eq!(keys, expected);
+            // Each file is in the codec's one pretty layout.
+            assert_eq!(json::parse(body).expect("valid").pretty(), body);
         }
     }
 }

@@ -23,7 +23,9 @@
 //!   shared runners).
 //! * `1` — at least one metric regressed past the threshold, or a
 //!   baseline metric disappeared.
-//! * `2` — usage or I/O error.
+//! * `2` — usage or I/O error, a file that is not JSON, or a baseline
+//!   with no metric of the `--metrics` set (even with
+//!   `--report-only`: there is nothing to report).
 
 use pmp_bench::benchdiff::{BenchDiff, MetricSet};
 
@@ -81,6 +83,10 @@ fn main() {
     let old = read(&paths[0]);
     let new = read(&paths[1]);
     let diff = BenchDiff::compare_for(&old, &new, threshold, set);
+    if !diff.errors.is_empty() {
+        eprintln!("bench_diff: {} ({} vs {})", diff.errors.join("; "), paths[1], paths[0]);
+        std::process::exit(2);
+    }
     print!("{}", diff.report());
     if diff.has_regression() {
         println!(

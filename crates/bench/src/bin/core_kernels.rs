@@ -21,12 +21,13 @@
 //! process, a `speedup` is machine-independent in a way the cross-run
 //! BENCH baselines are not.
 //!
-//! Emits `results/BENCH_core.json` (serde-free, bench_diff-compatible:
-//! each workload line carries `name` + `ops_per_sec`).
+//! Emits `results/BENCH_core.json` (read by `bench_diff`: each
+//! workload carries `name` + `ops_per_sec`).
 //!
 //! Usage: `cargo run --release --bin core_kernels [-- OUT.json]`
 
 use pmp_bench::microbench::{bench_function, black_box};
+use pmp_bench::write_artifact;
 use pmp_core::arbiter::arbitrate;
 use pmp_core::buffer::PrefetchBuffer;
 use pmp_core::capture::{CaptureConfig, CaptureOutcome, CapturedPattern, PatternCapture};
@@ -36,7 +37,7 @@ use pmp_types::{
     BitPattern, CacheLevel, LineAddr, Origin, Pc, PrefetchPattern, Provenance, RegionAddr,
     RegionGeometry, Rng64,
 };
-use std::fmt::Write as _;
+use pmp_types::json::Json;
 
 const LEN: u32 = 64;
 const BITS: u32 = 5;
@@ -174,9 +175,11 @@ struct Kernel {
 }
 
 impl Kernel {
-    fn speedup(&self) -> Option<f64> {
+    /// The reference's field prefix and ns/op, if there is one.
+    fn reference(&self) -> Option<(&'static str, f64)> {
         match self.reference {
-            Reference::Scalar(r) | Reference::PreChange(r) => Some(r / self.ns),
+            Reference::Scalar(r) => Some(("scalar", r)),
+            Reference::PreChange(r) => Some(("ref", r)),
             Reference::None => None,
         }
     }
@@ -702,38 +705,29 @@ fn bench_arbitrate() -> Kernel {
 
 /// Serialize the measurements as the `BENCH_core.json` document.
 fn to_json(kernels: &[Kernel]) -> String {
-    let mut out = String::from(
-        "{\n  \"bench\": \"core_kernels\",\n  \"unit\": \"ops_per_sec\",\n  \"geometry\": \"64x5bit\",\n  \"workloads\": [\n",
-    );
     let mut min_speedup = f64::INFINITY;
-    for (i, k) in kernels.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"ns_per_op\": {:.2}, \"ops_per_sec\": {:.0}",
-            k.name,
-            k.ns,
-            1e9 / k.ns,
-        );
-        let (prefix, ref_ns) = match k.reference {
-            Reference::Scalar(r) => ("scalar", r),
-            Reference::PreChange(r) => ("ref", r),
-            Reference::None => ("", 0.0),
-        };
-        if let Some(speedup) = k.speedup() {
-            if let Reference::Scalar(_) = k.reference {
-                min_speedup = min_speedup.min(speedup);
-            }
-            let _ = write!(
-                out,
-                ", \"{prefix}_ns_per_op\": {ref_ns:.2}, \"{prefix}_ops_per_sec\": {:.0}, \
-                 \"speedup\": {speedup:.3}",
-                1e9 / ref_ns,
-            );
+    let rows = kernels.iter().map(|k| {
+        let row = Json::object()
+            .with("name", k.name)
+            .with("ns_per_op", Json::fixed(k.ns, 2))
+            .with("ops_per_sec", Json::fixed(1e9 / k.ns, 0));
+        let Some((prefix, ref_ns)) = k.reference() else { return row };
+        let speedup = ref_ns / k.ns;
+        if prefix == "scalar" {
+            min_speedup = min_speedup.min(speedup);
         }
-        let _ = writeln!(out, "}}{}", if i + 1 < kernels.len() { "," } else { "" });
-    }
-    let _ = write!(out, "  ],\n  \"min_speedup\": {min_speedup:.3}\n}}\n");
-    out
+        row.with(&format!("{prefix}_ns_per_op"), Json::fixed(ref_ns, 2))
+            .with(&format!("{prefix}_ops_per_sec"), Json::fixed(1e9 / ref_ns, 0))
+            .with("speedup", Json::fixed(speedup, 3))
+    });
+    let workloads = Json::Arr(rows.collect());
+    Json::object()
+        .with("bench", "core_kernels")
+        .with("unit", "ops_per_sec")
+        .with("geometry", "64x5bit")
+        .with("workloads", workloads)
+        .with("min_speedup", Json::fixed(min_speedup, 3))
+        .pretty()
 }
 
 fn main() {
@@ -752,20 +746,11 @@ fn main() {
         bench_arbitrate(),
     ];
     for k in &kernels {
-        let vs = match k.reference {
-            Reference::Scalar(r) => format!("  scalar {r:>7.2} ns/op"),
-            Reference::PreChange(r) => format!("  ref    {r:>7.2} ns/op"),
-            Reference::None => String::new(),
-        };
-        let speedup = k.speedup().map_or(String::new(), |s| format!("  speedup {s:>5.2}x"));
-        println!("{:<16} new {:>7.2} ns/op{vs}{speedup}", k.name, k.ns);
+        let vs = k.reference().map_or(String::new(), |(prefix, r)| {
+            format!("  {prefix:<6} {r:>7.2} ns/op  speedup {:>5.2}x", r / k.ns)
+        });
+        println!("{:<16} new {:>7.2} ns/op{vs}", k.name, k.ns);
     }
-    let json = to_json(&kernels);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH_core.json");
+    write_artifact(out_path.as_ref(), &to_json(&kernels)).expect("write BENCH_core.json");
     println!("wrote {out_path}");
 }

@@ -13,6 +13,7 @@ use pmp_stats::report::interval_table;
 use pmp_stats::storage::interval_samples_to_json_lines;
 use pmp_stats::{sim_stats_to_json, Table};
 use pmp_traces::{catalog, TraceScale};
+use pmp_types::json::Json;
 use std::fs;
 
 fn main() {
@@ -115,24 +116,22 @@ fn main() {
     let hist_path = "results/obs/latency_histograms.jsonl";
     let _ = fs::write(csv_path, series.to_csv());
     let _ = fs::write(jsonl_path, interval_samples_to_json_lines(&samples));
-    let _ = fs::write(stats_path, sim_stats_to_json(&result.stats));
+    let _ = fs::write(stats_path, sim_stats_to_json(&result.stats).to_string());
     let mut hist_lines = String::new();
     for (label, hist) in [
         ("pf_issue_to_fill", collector.pf_latency()),
         ("demand_miss", collector.demand_latency()),
         ("dram", collector.dram_latency()),
     ] {
-        let buckets: Vec<String> = hist
-            .nonzero()
-            .iter()
-            .map(|(lo, hi, n)| format!("{{\"lo\":{lo},\"hi\":{hi},\"count\":{n}}}"))
-            .collect();
-        hist_lines.push_str(&format!(
-            "{{\"histogram\":\"{label}\",\"count\":{},\"mean\":{:.3},\"buckets\":[{}]}}\n",
-            hist.count(),
-            hist.mean(),
-            buckets.join(",")
-        ));
+        let buckets = hist.nonzero().into_iter().map(|(lo, hi, n)| {
+            Json::object().with("lo", lo).with("hi", hi).with("count", n)
+        });
+        let line = Json::object()
+            .with("histogram", label)
+            .with("count", hist.count())
+            .with("mean", Json::fixed(hist.mean(), 3))
+            .with("buckets", Json::Arr(buckets.collect()));
+        hist_lines.push_str(&format!("{line}\n"));
     }
     let _ = fs::write(hist_path, hist_lines);
     println!("wrote {csv_path}, {jsonl_path}, {stats_path}, {hist_path}");

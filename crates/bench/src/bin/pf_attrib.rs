@@ -12,9 +12,10 @@
 
 use pmp_bench::attrib::{render_text, run_attrib};
 use pmp_bench::prefetchers::PrefetcherKind;
+use pmp_bench::write_artifact;
 use pmp_obs::Fate;
 use pmp_traces::{catalog, TraceScale};
-use std::fs;
+use pmp_types::json::Json;
 
 fn main() {
     let trace_name = std::env::args().nth(1).unwrap_or_else(|| "spec06.stream_1".to_string());
@@ -52,19 +53,16 @@ fn main() {
         red as f64 * 100.0 / issued as f64,
     );
 
-    let _ = fs::create_dir_all("results/obs");
     let json_path = "results/obs/pf_attrib.json";
-    let mut doc = out.report.to_json();
     // Wrap with run identity so downstream tooling knows the cell.
-    doc = format!(
-        "{{\n\"trace\": \"{}\", \"scale\": \"{:?}\", \"prefetcher\": \"{}\", \"ipc\": {:.6},\n\"attribution\": {}}}\n",
-        spec.name,
-        scale,
-        kind.label(),
-        out.result.ipc(),
-        doc
-    );
-    match fs::write(json_path, &doc) {
+    let doc = Json::object()
+        .with("trace", spec.name.as_str())
+        .with("scale", format!("{scale:?}"))
+        .with("prefetcher", kind.label())
+        .with("ipc", Json::fixed(out.result.ipc(), 6))
+        .with("attribution", out.report.to_json())
+        .pretty();
+    match write_artifact(json_path.as_ref(), &doc) {
         Ok(()) => println!("wrote {json_path}"),
         Err(e) => eprintln!("failed to write {json_path}: {e}"),
     }

@@ -1,89 +1,75 @@
 //! `sim_throughput` — the simulator's ops/sec trajectory.
 //!
 //! Measures the memory-walk hot path (`demand_access` /
-//! `prefetch_access`) and whole-system throughput, then emits
-//! `BENCH_sim.json` so the numbers land in the perf trajectory and
-//! future PRs can detect regressions. The `baseline_ops_per_sec`
-//! fields pin the pre-optimization numbers measured on the reference
-//! machine before the allocation-free hot-path rework; `speedup` is
-//! current / baseline (machine-dependent — compare trends, not
-//! absolutes, across hosts). Workloads added after that rework
-//! (`system_pmp`) have no frozen baseline and carry neither field;
-//! `min_speedup` covers the workloads that do.
+//! `prefetch_access`), whole-system throughput with no prefetcher,
+//! next-line and PMP, the tracer's cost (`system_obscollector` is
+//! `system_nextline` with a live `ObsCollector`; `system_nextline`
+//! runs the `NullTracer`), and each prefetcher's `on_access` path on
+//! its own (`on_access_<label>`), then emits `BENCH_sim.json` so the
+//! numbers land in the perf trajectory. Compare a run against the
+//! committed file with `bench_diff`; absolute numbers depend on the
+//! host.
 //!
 //! Usage: `cargo run --release --bin sim_throughput [-- OUT.json]`
 //! (default output path: `results/BENCH_sim.json`).
 
 use pmp_bench::microbench::{bench_function, black_box};
+use pmp_bench::prefetchers::PrefetcherKind;
+use pmp_bench::write_artifact;
 use pmp_core::{Pmp, PmpConfig};
-use pmp_prefetch::{NextLine, NoPrefetch, PrefetchRequest};
-use pmp_sim::hierarchy::{demand_access, prefetch_access, CoreMem, MemEvents, SharedMem};
-use pmp_sim::{NullTracer, SimStats, System, SystemConfig};
+use pmp_prefetch::{AccessInfo, NextLine, NoPrefetch, PrefetchRequest};
+use pmp_sim::hierarchy::{
+    demand_access, prefetch_access, CoreMem, MemEvents, PrefetchOutcome, SharedMem,
+};
+use pmp_sim::{NullTracer, ObsCollector, SimStats, System, SystemConfig};
+use pmp_types::json::Json;
 use pmp_types::{Addr, CacheLevel, LineAddr, MemAccess, Pc, TraceOp};
-use std::fmt::Write as _;
 
-// Pre-PR baselines (ns/iter on the reference machine, commit 70aaa43).
-// The acceptance target for the hot-path rework was >= 1.3x ops/sec on
-// the memory-walk workloads.
+/// One measured workload: its name and mean ns per op.
+type Workload = (String, f64);
 
-/// `demand_walk` pre-PR ns/op.
-const DEMAND_WALK_BASELINE_NS: f64 = 93.3;
-/// `prefetch_walk` pre-PR ns/op.
-const PREFETCH_WALK_BASELINE_NS: f64 = 320.3;
-/// `system_stream` pre-PR ns/op (20k-mem-op run, NoPrefetch).
-const SYSTEM_STREAM_BASELINE_NS: f64 = 367.3;
-/// `system_nextline` pre-PR ns/op (20k-mem-op run, NextLine(4)).
-const SYSTEM_NEXTLINE_BASELINE_NS: f64 = 621.8;
-
-/// One measured workload.
-struct Workload {
-    name: &'static str,
-    ns_per_op: f64,
-    /// Frozen pre-rework ns/op, for the workloads that predate it.
-    baseline_ns: Option<f64>,
+/// A fresh single-core hierarchy, walked one access at a time.
+struct Walk {
+    cores: Vec<CoreMem>,
+    shared: SharedMem,
+    stats: SimStats,
+    ev: MemEvents,
 }
 
-impl Workload {
-    fn speedup(&self) -> Option<f64> {
-        self.baseline_ns.map(|base| base / self.ns_per_op)
+impl Walk {
+    fn new() -> Self {
+        let cfg = SystemConfig::single_core();
+        let (stats, ev) = (SimStats::default(), MemEvents::default());
+        Walk { cores: vec![CoreMem::new(&cfg)], shared: SharedMem::new(&cfg), stats, ev }
+    }
+
+    fn demand(&mut self, line: LineAddr, now: u64) -> u64 {
+        let Walk { cores, shared, stats, ev } = self;
+        demand_access(line, true, now, 0, cores, shared, stats, ev, &mut NullTracer).0
+    }
+
+    fn prefetch(&mut self, line: LineAddr, now: u64) -> PrefetchOutcome {
+        let Walk { cores, shared, stats, ev } = self;
+        let req = PrefetchRequest::new(line, CacheLevel::L1D);
+        prefetch_access(req, now, 0, cores, shared, stats, ev, &mut NullTracer)
     }
 }
 
 /// The demand-side memory walk: mixed hits (small working set) and
 /// streaming misses, one `demand_access` per op.
 fn demand_walk() -> Workload {
-    let cfg = SystemConfig::single_core();
-    let mut cores = vec![CoreMem::new(&cfg)];
-    let mut shared = SharedMem::new(&cfg);
-    let mut stats = SimStats::default();
-    let mut ev = MemEvents::default();
-    let mut now = 0u64;
+    let mut walk = Walk::new();
     let mut i = 0u64;
     let m = bench_function("sim_throughput/demand_walk", |b| {
         b.iter(|| {
             let line = if i.is_multiple_of(4) { LineAddr(1_000_000 + i) } else { LineAddr(i % 64) };
-            let (lat, _) = demand_access(
-                line,
-                true,
-                now,
-                0,
-                &mut cores,
-                &mut shared,
-                &mut stats,
-                &mut ev,
-                &mut NullTracer,
-            );
-            ev.clear();
-            now += 2;
+            let lat = walk.demand(line, 2 * i);
+            walk.ev.clear();
             i += 1;
             black_box(lat)
         });
     });
-    Workload {
-        name: "demand_walk",
-        ns_per_op: m.ns_per_iter,
-        baseline_ns: Some(DEMAND_WALK_BASELINE_NS),
-    }
+    ("demand_walk".into(), m.ns_per_iter)
 }
 
 /// The prefetch-side walk interleaved with demands: each op is one
@@ -91,151 +77,115 @@ fn demand_walk() -> Workload {
 /// demand hits a prefetched line and every prefetch walks the full
 /// admission + fill path.
 fn prefetch_walk() -> Workload {
-    let cfg = SystemConfig::single_core();
-    let mut cores = vec![CoreMem::new(&cfg)];
-    let mut shared = SharedMem::new(&cfg);
-    let mut stats = SimStats::default();
-    let mut ev = MemEvents::default();
-    let mut now = 0u64;
+    let mut walk = Walk::new();
     let mut i = 0u64;
     let m = bench_function("sim_throughput/prefetch_walk", |b| {
         b.iter(|| {
-            let (lat, _) = demand_access(
-                LineAddr(i),
-                true,
-                now,
-                0,
-                &mut cores,
-                &mut shared,
-                &mut stats,
-                &mut ev,
-                &mut NullTracer,
-            );
-            let out = prefetch_access(
-                PrefetchRequest::new(LineAddr(i + 4), CacheLevel::L1D),
-                now,
-                0,
-                &mut cores,
-                &mut shared,
-                &mut stats,
-                &mut ev,
-                &mut NullTracer,
-            );
-            ev.clear();
-            now += 8;
+            let lat = walk.demand(LineAddr(i), 8 * i);
+            let out = walk.prefetch(LineAddr(i + 4), 8 * i);
+            walk.ev.clear();
             i += 1;
             black_box((lat, out))
         });
     });
-    Workload {
-        name: "prefetch_walk",
-        ns_per_op: m.ns_per_iter,
-        baseline_ns: Some(PREFETCH_WALK_BASELINE_NS),
-    }
+    ("prefetch_walk".into(), m.ns_per_iter)
 }
 
-fn stream_ops(n: u64) -> Vec<TraceOp> {
-    (0..n)
+/// Whole-system throughput on the 20k-op stream, per mem op: `run`
+/// builds a system and runs the stream through it (trace dispatch +
+/// core model + memory walk, plus its prefetcher and tracer).
+fn system(name: &str, run: impl Fn(&[TraceOp]) -> u64) -> Workload {
+    let ops: Vec<TraceOp> = (0..20_000)
         .map(|i| TraceOp::new(MemAccess::load(Pc(0x400), Addr((i * 320) % (1 << 26))), 3, false))
+        .collect();
+    let m = bench_function(&format!("sim_throughput/{name}"), |b| {
+        b.iter(|| black_box(run(&ops)));
+    });
+    (name.to_string(), m.ns_per_iter / 20_000.0)
+}
+
+/// Each prefetcher's `on_access` alone, on a mixed access pattern
+/// touching many regions (worst-ish case): the software analogue of
+/// the paper's access-time argument.
+fn on_access() -> Vec<Workload> {
+    let accesses: Vec<AccessInfo> = (0..8192u64)
+        .map(|i| AccessInfo {
+            access: MemAccess::load(Pc(0x400 + (i % 17) * 4), Addr(((i * 4243) % (1 << 24)) * 64)),
+            hit: i % 3 == 0,
+            cycle: i * 4,
+            pq_free: 8,
+        })
+        .collect();
+    let kinds = [
+        PrefetcherKind::Pmp,
+        PrefetcherKind::Bingo,
+        PrefetcherKind::DsPatch,
+        PrefetcherKind::SppPpf,
+        PrefetcherKind::Pythia,
+        PrefetcherKind::Sms,
+    ];
+    kinds
+        .iter()
+        .map(|kind| {
+            let name = format!("on_access_{}", kind.label());
+            let mut p = kind.build();
+            let mut out: Vec<PrefetchRequest> = Vec::with_capacity(64);
+            let mut i = 0usize;
+            let m = bench_function(&format!("sim_throughput/{name}"), |b| {
+                b.iter(|| {
+                    out.clear();
+                    p.on_access(black_box(&accesses[i % accesses.len()]), &mut out);
+                    i += 1;
+                    black_box(out.len())
+                });
+            });
+            (name, m.ns_per_iter)
+        })
         .collect()
-}
-
-/// Whole-system throughput, no prefetcher: trace dispatch + core model
-/// + memory walk, per mem op.
-fn system_stream() -> Workload {
-    let ops = stream_ops(20_000);
-    let m = bench_function("sim_throughput/system_stream", |b| {
-        b.iter(|| {
-            let mut sys = System::new(SystemConfig::single_core(), Box::new(NoPrefetch));
-            black_box(sys.run(&ops, 0).cycles)
-        });
-    });
-    Workload {
-        name: "system_stream",
-        ns_per_op: m.ns_per_iter / 20_000.0,
-        baseline_ns: Some(SYSTEM_STREAM_BASELINE_NS),
-    }
-}
-
-/// Whole-system throughput with an active prefetcher (adds the
-/// prefetch walk and feedback delivery to every op).
-fn system_nextline() -> Workload {
-    let ops = stream_ops(20_000);
-    let m = bench_function("sim_throughput/system_nextline", |b| {
-        b.iter(|| {
-            let mut sys = System::new(SystemConfig::single_core(), Box::new(NextLine::new(4)));
-            black_box(sys.run(&ops, 0).cycles)
-        });
-    });
-    Workload {
-        name: "system_nextline",
-        ns_per_op: m.ns_per_iter / 20_000.0,
-        baseline_ns: Some(SYSTEM_NEXTLINE_BASELINE_NS),
-    }
-}
-
-/// Whole-system throughput with PMP at its paper defaults on the same
-/// stream: capture, table training and prediction, and Prefetch Buffer
-/// issue on every load.
-fn system_pmp() -> Workload {
-    let ops = stream_ops(20_000);
-    let m = bench_function("sim_throughput/system_pmp", |b| {
-        b.iter(|| {
-            let mut sys =
-                System::new(SystemConfig::single_core(), Box::new(Pmp::new(PmpConfig::default())));
-            black_box(sys.run(&ops, 0).cycles)
-        });
-    });
-    Workload { name: "system_pmp", ns_per_op: m.ns_per_iter / 20_000.0, baseline_ns: None }
 }
 
 /// Serialize the measurements as the `BENCH_sim.json` document.
 fn to_json(workloads: &[Workload]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"sim_throughput\",\n  \"unit\": \"ops_per_sec\",\n  \"workloads\": [\n");
-    let mut min_speedup = f64::INFINITY;
-    for (i, w) in workloads.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"ns_per_op\": {:.1}, \"ops_per_sec\": {:.0}",
-            w.name,
-            w.ns_per_op,
-            1e9 / w.ns_per_op,
-        );
-        if let (Some(base_ns), Some(speedup)) = (w.baseline_ns, w.speedup()) {
-            min_speedup = min_speedup.min(speedup);
-            let _ = write!(
-                out,
-                ", \"baseline_ns_per_op\": {:.1}, \"baseline_ops_per_sec\": {:.0}, \
-                 \"speedup\": {:.3}",
-                base_ns,
-                1e9 / base_ns,
-                speedup,
-            );
-        }
-        let _ = writeln!(out, "}}{}", if i + 1 < workloads.len() { "," } else { "" });
-    }
-    let _ = write!(out, "  ],\n  \"min_speedup\": {min_speedup:.3}\n}}\n");
-    out
+    let rows = workloads.iter().map(|(name, ns)| {
+        Json::object()
+            .with("name", name.as_str())
+            .with("ns_per_op", Json::fixed(*ns, 1))
+            .with("ops_per_sec", Json::fixed(1e9 / ns, 0))
+    });
+    Json::object()
+        .with("bench", "sim_throughput")
+        .with("unit", "ops_per_sec")
+        .with("workloads", Json::Arr(rows.collect()))
+        .pretty()
 }
 
 fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "results/BENCH_sim.json".to_string());
-    let workloads =
-        [demand_walk(), prefetch_walk(), system_stream(), system_nextline(), system_pmp()];
-    let json = to_json(&workloads);
-    for w in &workloads {
-        let speedup =
-            w.speedup().map_or(String::new(), |s| format!("  speedup vs pre-PR: {s:.2}x"));
-        let ops = 1e9 / w.ns_per_op;
-        println!("{:<18} {:>9.1} ns/op  {ops:>12.0} ops/s{speedup}", w.name, w.ns_per_op);
+    let cfg = SystemConfig::single_core;
+    let mut workloads = vec![
+        demand_walk(),
+        prefetch_walk(),
+        system("system_stream", |ops| System::new(cfg(), Box::new(NoPrefetch)).run(ops, 0).cycles),
+        system("system_nextline", |ops| {
+            System::new(cfg(), Box::new(NextLine::new(4))).run(ops, 0).cycles
+        }),
+        system("system_obscollector", |ops| {
+            System::with_tracer(cfg(), Box::new(NextLine::new(4)), ObsCollector::new())
+                .run(ops, 0)
+                .cycles
+        }),
+        system("system_pmp", |ops| {
+            System::new(cfg(), Box::new(Pmp::new(PmpConfig::default()))).run(ops, 0).cycles
+        }),
+    ];
+    let tracer_overhead = workloads[4].1 / workloads[3].1;
+    workloads.extend(on_access());
+    for (name, ns) in &workloads {
+        println!("{name:<22} {ns:>9.1} ns/op  {:>12.0} ops/s", 1e9 / ns);
     }
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH_sim.json");
+    println!("tracer overhead: collector/null = {tracer_overhead:.3}x");
+    write_artifact(out_path.as_ref(), &to_json(&workloads)).expect("write BENCH_sim.json");
     println!("wrote {out_path}");
 }

@@ -28,12 +28,6 @@ fn baseline_and(
     (base, grids.collect())
 }
 
-fn geomean_nipc(specs: &[TraceSpec], kind: &PrefetcherKind, cfg: &RunConfig) -> f64 {
-    let (base, mut withs) = baseline_and(specs, vec![kind.clone()], cfg);
-    let with = withs.pop().expect("one kind requested");
-    normalized_ipcs(&base, &with).1
-}
-
 /// Run several PMP variants against one shared baseline — the whole
 /// `(1 + variants) × specs` product as one scheduler grid.
 fn pmp_variants(
@@ -310,14 +304,6 @@ pub fn related_work(scale: TraceScale) -> String {
         "Related work (paper Section VI): pattern families compared\n(note: our synthetic corpus embeds more pure strides than SPEC, so\nconstant-stride designs are stronger here than the paper's discussion\nimplies; PMP still leads the pattern-table families at 4.3KB)\n\n{}",
         t.render()
     )
-}
-
-/// Convenience: geomean NIPC of one prefetcher over the sweep subset
-/// (used by integration tests).
-pub fn subset_nipc(kind: &PrefetcherKind, scale: TraceScale) -> f64 {
-    let specs = sweep_config();
-    let cfg = RunConfig { scale, ..RunConfig::default() };
-    geomean_nipc(&specs, kind, &cfg)
 }
 
 #[cfg(test)]

@@ -17,28 +17,29 @@
 //!
 //! ## Record format
 //!
-//! One JSON object per line, `stats` rendered by
-//! [`pmp_stats::sim_stats_to_json`] and parsed back by the scanner in
-//! this module (serde-free, like the rest of the workspace):
+//! One compact JSON object per line, written and read with
+//! [`pmp_types::json`]; `stats` goes through the one `SimStats` field
+//! table behind [`pmp_stats::sim_stats_to_json`] and
+//! [`pmp_stats::sim_stats_from_json`]. Strings are escaped, so a cell
+//! named by a path with `"`, `\` or a control character resumes under
+//! its raw key:
 //!
 //! ```json
-//! {"key":"spec06.mcf_2|pmp|Small|a1b2...","trace":"spec06.mcf_2",
-//!  "suite":0,"prefetcher":"pmp","instructions":123,"cycles":456,
-//!  "wall_ms":97,"outcome":"ok","stats":{...}}
+//! {"key":"spec06.mcf_2|pmp|Small|a1b2...","trace":"spec06.mcf_2","suite":0,"prefetcher":"pmp",
+//!  "instructions":123,"cycles":456,"wall_ms":97,"outcome":"ok","stats":{...}}
 //! ```
 //!
-//! `wall_ms` (the cell's wall-clock cost — resume reporting uses it to
-//! say how much time the checkpoint saved) and `outcome` (the span tag,
-//! always `"ok"` for journaled cells today) were added by the sweep
-//! telemetry PR; both default (`0` / `"ok"`) when missing, so journals
-//! written before that PR still resume.
-//!
+//! `wall_ms` (the cell's wall-clock cost) and `outcome` (the span tag,
+//! always `"ok"` for journaled cells) default to `0` / `"ok"` when
+//! missing, so journals older than those fields still resume.
 //! Unparseable lines (torn tail writes after a crash) are skipped on
-//! load and reported, never fatal: a corrupt journal degrades to
+//! load and counted, never fatal: a corrupt journal degrades to
 //! re-running some cells.
 
-use pmp_sim::{LevelStats, SimStats};
+use pmp_sim::SimStats;
 use pmp_traces::Suite;
+use pmp_types::fnv1a_64;
+use pmp_types::json::{self, Json};
 use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::{self, BufWriter, Write};
@@ -335,16 +336,6 @@ pub fn global_write_warning() -> Option<String> {
 // Cell keys.
 // ---------------------------------------------------------------------
 
-/// FNV-1a over a string: cheap, deterministic, dependency-free.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Build the journal key for one grid cell. The human-readable prefix
 /// (trace, prefetcher label, scale) makes journals greppable; the
 /// fingerprint hash covers everything the label does not — the full
@@ -352,119 +343,49 @@ fn fnv1a(s: &str) -> u64 {
 /// but not a configuration) and the system configuration — so a cell
 /// is only ever reused for an identical experiment.
 pub fn cell_key(trace: &str, label: &str, scale_tag: &str, fingerprint_input: &str) -> String {
-    format!("{trace}|{label}|{scale_tag}|{:016x}", fnv1a(fingerprint_input))
+    format!("{trace}|{label}|{scale_tag}|{:016x}", fnv1a_64(fingerprint_input.as_bytes()))
 }
 
 // ---------------------------------------------------------------------
 // Serialisation.
 // ---------------------------------------------------------------------
 
-/// Strip characters that would break the one-line JSON framing. Trace
-/// names and prefetcher labels never contain them; this is belt and
-/// braces for hostile file paths used as cell names.
-fn sanitize(s: &str) -> String {
-    s.chars().filter(|c| !c.is_control() && *c != '"' && *c != '\\').collect()
-}
-
 fn suite_index(suite: Suite) -> usize {
     Suite::ALL.iter().position(|s| *s == suite).unwrap_or(0)
 }
 
 fn render_record(key: &str, e: &JournalEntry) -> String {
-    format!(
-        "{{\"key\":\"{}\",\"trace\":\"{}\",\"suite\":{},\"prefetcher\":\"{}\",\
-         \"instructions\":{},\"cycles\":{},\"wall_ms\":{},\"outcome\":\"{}\",\"stats\":{}}}",
-        sanitize(key),
-        sanitize(&e.trace),
-        suite_index(e.suite),
-        sanitize(&e.prefetcher),
-        e.instructions,
-        e.cycles,
-        e.wall_ms,
-        sanitize(&e.outcome),
-        pmp_stats::sim_stats_to_json(&e.stats),
-    )
-}
-
-/// `"key":"value"` string field (no escape handling: writers sanitize).
-fn field_str<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = obj.find(&pat)? + pat.len();
-    let end = obj[start..].find('"')?;
-    Some(&obj[start..start + end])
-}
-
-/// `"key":123` unsigned numeric field.
-fn field_u64(obj: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let digits: String =
-        obj[start..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-/// The flat `{...}` object following `"key":`.
-fn field_obj<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":{{");
-    let start = obj.find(&pat)? + pat.len() - 1;
-    let end = obj[start..].find('}')?;
-    Some(&obj[start..=start + end])
-}
-
-fn parse_level(obj: &str) -> Option<LevelStats> {
-    Some(LevelStats {
-        load_accesses: field_u64(obj, "load_accesses")?,
-        load_misses: field_u64(obj, "load_misses")?,
-        store_accesses: field_u64(obj, "store_accesses")?,
-        store_misses: field_u64(obj, "store_misses")?,
-        pf_fills: field_u64(obj, "pf_fills")?,
-        pf_useful: field_u64(obj, "pf_useful")?,
-        pf_useless: field_u64(obj, "pf_useless")?,
-        pf_late: field_u64(obj, "pf_late")?,
-        writebacks: field_u64(obj, "writebacks")?,
-    })
-}
-
-fn parse_stats(obj: &str) -> Option<SimStats> {
-    let mut stats = SimStats {
-        instructions: field_u64(obj, "instructions")?,
-        cycles: field_u64(obj, "cycles")?,
-        pf_issued: field_u64(obj, "pf_issued")?,
-        pf_admitted: field_u64(obj, "pf_admitted")?,
-        pf_dropped: field_u64(obj, "pf_dropped")?,
-        pf_redundant: field_u64(obj, "pf_redundant")?,
-        dram_requests: field_u64(obj, "dram_requests")?,
-        dram_writes: field_u64(obj, "dram_writes")?,
-        ..SimStats::default()
-    };
-    for (i, name) in ["l1d", "l2c", "llc"].iter().enumerate() {
-        stats.levels[i] = parse_level(field_obj(obj, name)?)?;
-    }
-    Some(stats)
+    Json::object()
+        .with("key", key)
+        .with("trace", e.trace.as_str())
+        .with("suite", suite_index(e.suite))
+        .with("prefetcher", e.prefetcher.as_str())
+        .with("instructions", e.instructions)
+        .with("cycles", e.cycles)
+        .with("wall_ms", e.wall_ms)
+        .with("outcome", e.outcome.as_str())
+        .with("stats", pmp_stats::sim_stats_to_json(&e.stats))
+        .to_string()
 }
 
 fn parse_record(line: &str) -> Option<(String, JournalEntry)> {
-    let key = field_str(line, "key")?.to_string();
-    let suite = *Suite::ALL.get(usize::try_from(field_u64(line, "suite")?).ok()?)?;
-    // `stats` is the last field: parse from its opening brace onward so
-    // the outer object's instructions/cycles fields are not confused
-    // with the inner ones.
-    let stats_at = line.find("\"stats\":")?;
-    let head = &line[..stats_at];
+    let record = json::parse(line).ok()?;
+    let text = |key: &str| record.get(key).and_then(Json::as_str).map(str::to_string);
+    let count = |key: &str| record.get(key).and_then(Json::number::<u64>);
     let entry = JournalEntry {
-        trace: field_str(line, "trace")?.to_string(),
-        suite,
-        prefetcher: field_str(line, "prefetcher")?.to_string(),
-        instructions: field_u64(head, "instructions")?,
-        cycles: field_u64(head, "cycles")?,
+        trace: text("trace")?,
+        suite: *Suite::ALL.get(usize::try_from(count("suite")?).ok()?)?,
+        prefetcher: text("prefetcher")?,
+        instructions: count("instructions")?,
+        cycles: count("cycles")?,
         // Telemetry fields are younger than the journal format:
         // records from pre-telemetry journals default instead of
         // failing, so old checkpoints still resume.
-        wall_ms: field_u64(head, "wall_ms").unwrap_or(0),
-        outcome: field_str(head, "outcome").unwrap_or("ok").to_string(),
-        stats: parse_stats(&line[stats_at..])?,
+        wall_ms: count("wall_ms").unwrap_or(0),
+        outcome: text("outcome").unwrap_or_else(|| "ok".into()),
+        stats: pmp_stats::sim_stats_from_json(record.get("stats")?)?,
     };
-    Some((key, entry))
+    Some((text("key")?, entry))
 }
 
 #[cfg(test)]
@@ -699,6 +620,38 @@ mod tests {
             0,
             "the file itself is still truncated"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cell_key_hash_is_pinned() {
+        // FNV-1a 64 of "PmpCustom|cfg": journals written before keys
+        // moved to `pmp_types::fnv1a_64` must keep resuming.
+        assert_eq!(
+            cell_key("spec06.mcf_2", "pmp", "Small", "PmpCustom|cfg"),
+            "spec06.mcf_2|pmp|Small|f67b0a5fda4c4f93"
+        );
+    }
+
+    #[test]
+    fn hostile_file_names_journal_and_resume_under_their_raw_key() {
+        let dir = std::env::temp_dir().join("pmp_journal_hostile_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("journal.jsonl");
+        let cell = crate::runner::CellSpec::File("traces/we\"ird\\na\tme\u{1}.pmpt".into());
+        let key = cell_key(&cell.name(), "pmp", "Small", "fingerprint");
+        {
+            let (mut journal, _) = Journal::open(&path, false).expect("open");
+            let mut entry = sample_entry();
+            entry.trace = cell.name();
+            journal.record(&key, entry);
+        }
+        let (mut journal, info) = Journal::open(&path, true).expect("reopen");
+        assert_eq!((info.loaded, info.skipped), (1, 0));
+        assert!(journal.contains_all(std::slice::from_ref(&key)), "{key:?} must resume");
+        assert_eq!(journal.cost_hint_ms(&key), Some(137));
+        let got = journal.lookup_all(&[key]).expect("resumes");
+        assert_eq!(got[0].trace, cell.name());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

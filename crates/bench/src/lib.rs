@@ -35,3 +35,16 @@ pub mod runner;
 pub mod scheduler;
 pub mod telemetry;
 pub mod trace_pool;
+
+/// Write `body` to `path`, creating the parent directory first: how
+/// the bins land their `results/` artifacts.
+///
+/// # Errors
+///
+/// The first I/O error from creating the directory or writing.
+pub fn write_artifact(path: &std::path::Path, body: &str) -> std::io::Result<()> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, body)
+}

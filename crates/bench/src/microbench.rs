@@ -1,10 +1,10 @@
-//! Minimal timing harness for the `benches/` targets.
+//! Minimal timing harness for the microbenchmark bins
+//! (`sim_throughput`, `core_kernels`).
 //!
-//! The registry is offline so the workspace carries no external bench
-//! framework; this module provides the small slice the benches need:
-//! a calibrated measurement window, a warmup implied by calibration,
-//! and a one-line mean-ns/iter report. All bench targets set
-//! `harness = false` and drive this from a plain `fn main()`.
+//! The workspace carries no external bench framework; this module
+//! provides the small slice the bins need: a calibrated measurement
+//! window, a warmup implied by calibration, and a one-line
+//! mean-ns/iter report.
 
 use std::time::{Duration, Instant};
 

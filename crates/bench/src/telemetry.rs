@@ -12,7 +12,8 @@
 //! ever *watches* — telemetry-on sweeps produce bit-identical
 //! simulation results (pinned by `tests/sweep_telemetry.rs`).
 
-use pmp_obs::{CellSpan, SweepObserver, SweepSnapshot};
+use pmp_obs::{CellSpan, Log2Histogram, SweepObserver, SweepSnapshot};
+use pmp_types::json::Json;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
@@ -82,107 +83,79 @@ pub fn expected_cell_ms(group: &str, family: &str) -> Option<f64> {
     slot().as_ref().and_then(|obs| obs.expected_cost_ms(group, family))
 }
 
-// ---------------------------------------------------------------------
-// BENCH_sweep.json rendering (serde-free, BENCH_sim.json style).
-// ---------------------------------------------------------------------
-
-/// Percentile/mean/max summary of one wall-time histogram as a JSON
-/// object fragment.
-fn hist_json(h: &pmp_obs::Log2Histogram) -> String {
-    format!(
-        "{{\"cells\": {}, \"mean_ms\": {:.1}, \"p50_ms\": {}, \"p95_ms\": {}, \
-         \"p99_ms\": {}, \"max_ms\": {}}}",
-        h.count(),
-        h.mean(),
-        h.p50(),
-        h.p95(),
-        h.p99(),
-        h.max()
-    )
-}
-
 /// Render the observer's final state as the `BENCH_sweep.json`
 /// document. `grid` names the sweep that produced it (`run_all`,
 /// `full_sweep`, …) and `scale` the trace scale it ran at.
 pub fn sweep_json(observer: &SweepObserver, grid: &str, scale: &str) -> String {
     let snap = observer.snapshot();
-    let elapsed_s = snap.elapsed_ms as f64 / 1000.0;
     let cells_per_sec = if snap.elapsed_ms == 0 {
         0.0
     } else {
         snap.done as f64 * 1000.0 / snap.elapsed_ms as f64
     };
-    let mut all = pmp_obs::Log2Histogram::new();
+    let seconds = |ms: u64| Json::fixed(ms as f64 / 1000.0, 3);
+    // Percentile/mean/max summary of one wall-time histogram.
+    let wall = |h: &Log2Histogram| {
+        Json::object()
+            .with("cells", h.count())
+            .with("mean_ms", Json::fixed(h.mean(), 1))
+            .with("p50_ms", h.p50())
+            .with("p95_ms", h.p95())
+            .with("p99_ms", h.p99())
+            .with("max_ms", h.max())
+    };
+    let named = |groups: Vec<(String, Log2Histogram)>| {
+        let rows = groups.iter().map(|(name, h)| {
+            Json::object().with("name", name.as_str()).with("wall_ms", wall(h))
+        });
+        Json::Arr(rows.collect())
+    };
+    let mut all = Log2Histogram::new();
     for (_, h) in observer.group_hists() {
         all.merge(&h);
     }
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"sweep\",");
-    let _ = writeln!(out, "  \"grid\": \"{grid}\",");
-    let _ = writeln!(out, "  \"scale\": \"{scale}\",");
-    let _ = writeln!(out, "  \"wall_clock_s\": {elapsed_s:.3},");
-    let _ = writeln!(
-        out,
-        "  \"cells\": {{\"done\": {}, \"executed\": {}, \"resumed\": {}, \
-         \"panicked\": {}, \"timed_out\": {}, \"skipped\": {}}},",
-        snap.done, snap.executed, snap.resumed, snap.panicked, snap.timed_out, snap.skipped
-    );
-    let _ = writeln!(
-        out,
-        "  \"aggregate\": {{\"instructions\": {}, \"ops_per_sec\": {:.0}, \
-         \"cells_per_sec\": {:.3}, \"saved_s\": {:.3}, \"cell_wall_ms\": {}}},",
-        snap.instructions,
-        snap.ops_per_sec,
-        cells_per_sec,
-        snap.saved_ms as f64 / 1000.0,
-        hist_json(&all)
-    );
-    let phases = observer.phase_breakdown(snap.elapsed_ms);
-    let _ = writeln!(out, "  \"phases\": [");
-    for (i, (name, wall_ms)) in phases.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{name}\", \"wall_s\": {:.3}}}{}",
-            *wall_ms as f64 / 1000.0,
-            if i + 1 < phases.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    for (key, groups) in
-        [("prefetchers", observer.group_hists()), ("families", observer.family_hists())]
-    {
-        let _ = writeln!(out, "  \"{key}\": [");
-        for (i, (name, h)) in groups.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"name\": \"{name}\", \"wall_ms\": {}}}{}",
-                hist_json(h),
-                if i + 1 < groups.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "  ]{}", if key == "prefetchers" { "," } else { "" });
-    }
-    out.push_str("}\n");
-    out
+    let phases = observer.phase_breakdown(snap.elapsed_ms).into_iter().map(|(name, wall_ms)| {
+        Json::object().with("name", name).with("wall_s", seconds(wall_ms))
+    });
+    Json::object()
+        .with("bench", "sweep")
+        .with("grid", grid)
+        .with("scale", scale)
+        .with("wall_clock_s", seconds(snap.elapsed_ms))
+        .with(
+            "cells",
+            Json::object()
+                .with("done", snap.done)
+                .with("executed", snap.executed)
+                .with("resumed", snap.resumed)
+                .with("panicked", snap.panicked)
+                .with("timed_out", snap.timed_out)
+                .with("skipped", snap.skipped),
+        )
+        .with(
+            "aggregate",
+            Json::object()
+                .with("instructions", snap.instructions)
+                .with("ops_per_sec", Json::fixed(snap.ops_per_sec, 0))
+                .with("cells_per_sec", Json::fixed(cells_per_sec, 3))
+                .with("saved_s", seconds(snap.saved_ms))
+                .with("cell_wall_ms", wall(&all)),
+        )
+        .with("phases", Json::Arr(phases.collect()))
+        .with("prefetchers", named(observer.group_hists()))
+        .with("families", named(observer.family_hists()))
+        .pretty()
 }
 
 /// Write `BENCH_sweep.json` for the installed observer (no-op without
 /// one). Returns whether a file was written.
 pub fn write_sweep_json(path: &std::path::Path, grid: &str, scale: &str) -> bool {
     let Some(obs) = handle() else { return false };
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
+    let written = crate::write_artifact(path, &sweep_json(&obs, grid, scale));
+    if let Err(e) = &written {
+        eprintln!("telemetry: could not write {} ({e})", path.display());
     }
-    let body = sweep_json(&obs, grid, scale);
-    match std::fs::write(path, body) {
-        Ok(()) => true,
-        Err(e) => {
-            eprintln!("telemetry: could not write {} ({e})", path.display());
-            false
-        }
-    }
+    written.is_ok()
 }
 
 /// One-line human summary of a snapshot (sweep logs, progress lines).

@@ -39,6 +39,7 @@ use std::collections::HashMap;
 use crate::event::{DropReason, TraceEvent, Tracer};
 use crate::hist::Log2Histogram;
 use crate::introspect::{Gauge, Introspect};
+use pmp_types::json::Json;
 use pmp_types::{CacheLevel, LineAddr, Origin};
 
 /// Final outcome of one issued prefetch. See module docs for the
@@ -429,7 +430,7 @@ impl Introspect for FlightRecorder {
 }
 
 /// A rendered snapshot of a [`FlightRecorder`]: global fate totals plus
-/// the top-k origin rows, with serde-free JSON and text emitters.
+/// the top-k origin rows, with JSON and text emitters.
 #[derive(Debug, Clone)]
 pub struct AttributionReport {
     /// Prefetches issued.
@@ -452,26 +453,6 @@ pub struct AttributionReport {
     pub finalized: bool,
 }
 
-fn json_f64(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x:.6}"),
-        _ => "null".to_string(),
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl AttributionReport {
     /// Global accuracy over landed prefetches (all origins).
     pub fn accuracy(&self) -> Option<f64> {
@@ -483,59 +464,43 @@ impl AttributionReport {
         OriginStats { fates: self.totals, ..OriginStats::default() }.timeliness()
     }
 
-    /// Serde-free JSON document.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"pf_issued\": {},\n", self.issued));
-        s.push_str(&format!("  \"finalized\": {},\n", self.finalized));
-        s.push_str("  \"fates\": {");
-        for (i, f) in Fate::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\": {}", f.tag(), self.totals[*f as usize]));
-        }
-        s.push_str("},\n");
-        s.push_str(&format!("  \"accuracy\": {},\n", json_f64(self.accuracy())));
-        s.push_str(&format!("  \"timeliness\": {},\n", json_f64(self.timeliness())));
-        s.push_str(&format!(
-            "  \"use_distance\": {{\"useful_mean\": {}, \"useful_p50\": {}, \"useful_p95\": {}, \"late_mean\": {}, \"late_p50\": {}, \"late_p95\": {}}},\n",
-            json_f64(nonzero_mean(&self.useful_distance)),
-            self.useful_distance.p50(),
-            self.useful_distance.p95(),
-            json_f64(nonzero_mean(&self.late_distance)),
-            self.late_distance.p50(),
-            self.late_distance.p95(),
-        ));
-        s.push_str(&format!("  \"total_origins\": {},\n", self.total_origins));
-        s.push_str(&format!("  \"overflow_events\": {},\n", self.overflow_events));
-        s.push_str("  \"origins\": [\n");
-        for (i, (origin, st)) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"origin\": \"{}\", \"family\": \"{}\", \"issued\": {}, \"accuracy\": {}, \"timeliness\": {}, \"pollution\": {}, \"mean_distance\": {}, \"fates\": {{",
-                json_escape(&origin.describe()),
-                origin.family(),
-                st.issued(),
-                json_f64(st.accuracy()),
-                json_f64(st.timeliness()),
-                json_f64(st.pollution()),
-                json_f64(st.mean_distance()),
-            ));
-            for (j, f) in Fate::ALL.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!("\"{}\": {}", f.tag(), st.fate(*f)));
-            }
-            s.push_str("}}");
-            if i + 1 < self.rows.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ]\n}\n");
-        s
+    /// The report as a JSON object: totals, aggregate ratios,
+    /// issue→use distances, and one row per reported origin.
+    pub fn to_json(&self) -> Json {
+        let ratio = |v: Option<f64>| v.map_or(Json::Null, |x| Json::fixed(x, 6));
+        let fates = |counts: &[u64; Fate::ALL.len()]| {
+            Fate::ALL.iter().fold(Json::object(), |obj, &f| obj.with(f.tag(), counts[f as usize]))
+        };
+        let origins = self.rows.iter().map(|(origin, st)| {
+            Json::object()
+                .with("origin", origin.describe())
+                .with("family", origin.family())
+                .with("issued", st.issued())
+                .with("accuracy", ratio(st.accuracy()))
+                .with("timeliness", ratio(st.timeliness()))
+                .with("pollution", ratio(st.pollution()))
+                .with("mean_distance", ratio(st.mean_distance()))
+                .with("fates", fates(&st.fates))
+        });
+        Json::object()
+            .with("pf_issued", self.issued)
+            .with("finalized", self.finalized)
+            .with("fates", fates(&self.totals))
+            .with("accuracy", ratio(self.accuracy()))
+            .with("timeliness", ratio(self.timeliness()))
+            .with(
+                "use_distance",
+                Json::object()
+                    .with("useful_mean", ratio(nonzero_mean(&self.useful_distance)))
+                    .with("useful_p50", self.useful_distance.p50())
+                    .with("useful_p95", self.useful_distance.p95())
+                    .with("late_mean", ratio(nonzero_mean(&self.late_distance)))
+                    .with("late_p50", self.late_distance.p50())
+                    .with("late_p95", self.late_distance.p95()),
+            )
+            .with("total_origins", self.total_origins)
+            .with("overflow_events", self.overflow_events)
+            .with("origins", Json::Arr(origins.collect()))
     }
 
     /// Human-readable table.
@@ -833,7 +798,7 @@ mod tests {
         });
         r.finalize();
         let rep = r.report(8);
-        let json = rep.to_json();
+        let json = rep.to_json().pretty();
         assert!(json.contains("\"pf_issued\": 1"), "{json}");
         assert!(json.contains("\"useful\": 1"), "{json}");
         assert!(json.contains("dspatch/accp"), "{json}");
@@ -841,7 +806,7 @@ mod tests {
         let text = rep.to_text();
         assert!(text.contains("dspatch/accp"), "{text}");
         assert!(text.contains("useful=1"), "{text}");
-        // Sanity: balanced braces/brackets in the hand-rolled JSON.
+        // Sanity: balanced braces/brackets.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

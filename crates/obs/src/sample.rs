@@ -8,8 +8,6 @@
 //! and free of simulator types — makes it unit-testable in isolation
 //! and reusable by the multi-core driver later.
 
-use pmp_types::CacheLevel;
-
 /// Cumulative counters + instantaneous occupancies at one cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SampleInput {
@@ -50,13 +48,6 @@ pub struct IntervalSample {
     pub pq_occupancy: [u32; 3],
     /// MSHR occupancy at the window's end, per level.
     pub mshr_occupancy: [u32; 3],
-}
-
-impl IntervalSample {
-    /// MPKI of one level in this window.
-    pub fn mpki_of(&self, level: CacheLevel) -> f64 {
-        self.mpki[level as usize]
-    }
 }
 
 /// Differences cumulative [`SampleInput`] snapshots into
@@ -160,11 +151,6 @@ impl IntervalSampler {
     /// All samples recorded so far.
     pub fn samples(&self) -> &[IntervalSample] {
         &self.samples
-    }
-
-    /// Consume the sampler, returning its samples.
-    pub fn into_samples(self) -> Vec<IntervalSample> {
-        self.samples
     }
 }
 

@@ -169,13 +169,6 @@ impl SweepObserver {
         SweepObserver { inner: Mutex::new(Inner::default()), started: Some(Instant::now()) }
     }
 
-    /// An observer expecting `total` cells.
-    pub fn with_total(total: usize) -> Self {
-        let obs = SweepObserver::new();
-        obs.add_total(total);
-        obs
-    }
-
     /// A clockless observer for tests driving the `*_at` API; the
     /// convenience methods stamp everything at 0 ms.
     pub fn manual_clock() -> Self {

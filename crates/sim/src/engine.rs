@@ -269,11 +269,6 @@ impl<T: Tracer> Engine<T> {
         out
     }
 
-    /// The engine-reported name of `core`'s prefetcher.
-    pub fn prefetcher_name(&self, core: usize) -> &'static str {
-        self.prefetchers[core].name()
-    }
-
     /// Feedback hook used by tests to poke a core's prefetcher directly.
     pub fn prefetcher_feedback(&mut self, core: usize, line: LineAddr, kind: FeedbackKind) {
         self.prefetchers[core].on_feedback(line, kind);

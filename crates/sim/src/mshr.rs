@@ -30,18 +30,6 @@ pub struct Mshr {
     min_ready: u64,
 }
 
-/// Result of attempting to allocate an MSHR entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MshrOutcome {
-    /// The line already had an in-flight miss completing at this cycle.
-    Merged(u64),
-    /// A fresh entry was allocated; the caller supplies the completion
-    /// time via [`Mshr::allocate`]'s `ready` argument. The payload is
-    /// the number of cycles the request had to wait for a free entry
-    /// (0 when an entry was immediately available).
-    Allocated(u64),
-}
-
 impl Mshr {
     /// Create an MSHR file with `capacity` entries.
     ///

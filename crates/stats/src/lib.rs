@@ -33,6 +33,6 @@ pub mod storage;
 pub use metrics::{accuracy, coverage, nmt, PrefetchBreakdown};
 pub use report::{interval_table, Series, Table};
 pub use storage::{
-    interval_sample_to_json, interval_samples_to_json_lines, level_stats_to_json,
+    interval_sample_to_json, interval_samples_to_json_lines, sim_stats_from_json,
     sim_stats_to_json,
 };

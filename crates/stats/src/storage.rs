@@ -1,18 +1,17 @@
-//! Storage-budget accounting (paper Tables III and V) and hand-rolled
-//! JSON serialisation for counters and time-series.
+//! Storage-budget accounting (paper Tables III and V) and the JSON
+//! schema of the simulator's counters and time-series.
 //!
 //! Every prefetcher reports its own bit-accurate budget via
 //! [`pmp_prefetch::Prefetcher::storage_bits`]; this module renders the
 //! comparison table and provides the itemised PMP breakdown of
 //! Table III.
 //!
-//! The JSON emitters are serde-free on purpose: the workspace carries
-//! zero external dependencies, and the structures involved are flat
-//! enough that string assembly stays readable.
+//! The JSON values are built with [`pmp_types::json`], the workspace's
+//! one codec; this module owns only the field names.
 
 use pmp_prefetch::Prefetcher;
 use pmp_sim::{IntervalSample, LevelStats, SimStats};
-use std::fmt::Write as _;
+use pmp_types::json::Json;
 
 /// One row of a storage table.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,96 +72,97 @@ pub fn ratio(a_bits: u64, b_bits: u64) -> f64 {
     a_bits as f64 / b_bits as f64
 }
 
-/// A float as a JSON value: finite numbers verbatim, NaN/±inf as
-/// `null` (JSON has no representation for them).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
+/// A named `u64` counter of `T`: its JSON name and its place.
+type Field<T> = (&'static str, fn(&mut T) -> &mut u64);
+
+/// The [`LevelStats`] counters in serialisation order. Their JSON
+/// names live only here: the writer and the reader both walk it.
+const LEVEL_FIELDS: [Field<LevelStats>; 9] = [
+    ("load_accesses", |l| &mut l.load_accesses),
+    ("load_misses", |l| &mut l.load_misses),
+    ("store_accesses", |l| &mut l.store_accesses),
+    ("store_misses", |l| &mut l.store_misses),
+    ("pf_fills", |l| &mut l.pf_fills),
+    ("pf_useful", |l| &mut l.pf_useful),
+    ("pf_useless", |l| &mut l.pf_useless),
+    ("pf_late", |l| &mut l.pf_late),
+    ("writebacks", |l| &mut l.writebacks),
+];
+
+/// The top-level [`SimStats`] counters in serialisation order: the
+/// first two precede `ipc` and the per-level objects, the rest follow.
+const SIM_FIELDS: [Field<SimStats>; 8] = [
+    ("instructions", |s| &mut s.instructions),
+    ("cycles", |s| &mut s.cycles),
+    ("pf_issued", |s| &mut s.pf_issued),
+    ("pf_admitted", |s| &mut s.pf_admitted),
+    ("pf_dropped", |s| &mut s.pf_dropped),
+    ("pf_redundant", |s| &mut s.pf_redundant),
+    ("dram_requests", |s| &mut s.dram_requests),
+    ("dram_writes", |s| &mut s.dram_writes),
+];
+
+/// The per-level object names, in [`SimStats::levels`] order.
+const LEVEL_NAMES: [&str; 3] = ["l1d", "l2c", "llc"];
+
+/// `obj` with each of `fields` of `v` appended (the accessors take
+/// `&mut`, so each reads through a copy).
+fn with_counters<T: Copy>(obj: Json, v: &T, fields: &[Field<T>]) -> Json {
+    fields.iter().fold(obj, |obj, (name, field)| obj.with(name, *field(&mut { *v })))
 }
 
-/// One [`LevelStats`] as a JSON object.
-pub fn level_stats_to_json(l: &LevelStats) -> String {
-    format!(
-        concat!(
-            "{{\"load_accesses\":{},\"load_misses\":{},",
-            "\"store_accesses\":{},\"store_misses\":{},",
-            "\"pf_fills\":{},\"pf_useful\":{},\"pf_useless\":{},",
-            "\"pf_late\":{},\"writebacks\":{}}}"
-        ),
-        l.load_accesses,
-        l.load_misses,
-        l.store_accesses,
-        l.store_misses,
-        l.pf_fills,
-        l.pf_useful,
-        l.pf_useless,
-        l.pf_late,
-        l.writebacks,
-    )
+/// Each of `fields` of `v` read from `obj`; `None` when any is missing
+/// or not a `u64`.
+fn read_counters<T>(obj: &Json, v: &mut T, fields: &[Field<T>]) -> Option<()> {
+    for (name, field) in fields {
+        *field(v) = obj.get(name)?.number()?;
+    }
+    Some(())
 }
 
 /// A full [`SimStats`] as a JSON object with per-level sub-objects
-/// keyed `l1d` / `l2c` / `llc`.
-pub fn sim_stats_to_json(s: &SimStats) -> String {
-    let mut out = String::with_capacity(512);
-    let _ = write!(
-        out,
-        "{{\"instructions\":{},\"cycles\":{},\"ipc\":{},",
-        s.instructions,
-        s.cycles,
-        json_f64(s.ipc()),
-    );
-    for (name, level) in ["l1d", "l2c", "llc"].iter().zip(&s.levels) {
-        let _ = write!(out, "\"{name}\":{},", level_stats_to_json(level));
+/// keyed `l1d` / `l2c` / `llc`, and the derived `ipc`.
+pub fn sim_stats_to_json(s: &SimStats) -> Json {
+    let mut obj = with_counters(Json::object(), s, &SIM_FIELDS[..2]);
+    obj = obj.with("ipc", Json::float(s.ipc()));
+    for (name, level) in LEVEL_NAMES.iter().zip(&s.levels) {
+        obj = obj.with(name, with_counters(Json::object(), level, &LEVEL_FIELDS));
     }
-    let _ = write!(
-        out,
-        "\"pf_issued\":{},\"pf_admitted\":{},\"pf_dropped\":{},\
-         \"pf_redundant\":{},\"dram_requests\":{},\"dram_writes\":{}}}",
-        s.pf_issued, s.pf_admitted, s.pf_dropped, s.pf_redundant, s.dram_requests, s.dram_writes,
-    );
-    out
+    with_counters(obj, s, &SIM_FIELDS[2..])
+}
+
+/// Read back a [`SimStats`] written by [`sim_stats_to_json`]; `None`
+/// when any counter is missing or not a `u64`.
+pub fn sim_stats_from_json(v: &Json) -> Option<SimStats> {
+    let mut s = SimStats::default();
+    read_counters(v, &mut s, &SIM_FIELDS)?;
+    for (level, name) in s.levels.iter_mut().zip(LEVEL_NAMES) {
+        read_counters(v.get(name)?, level, &LEVEL_FIELDS)?;
+    }
+    Some(s)
 }
 
 /// One [`IntervalSample`] as a JSON object (a JSON-Lines record of the
 /// interval time-series).
-pub fn interval_sample_to_json(s: &IntervalSample) -> String {
-    format!(
-        concat!(
-            "{{\"core\":{},\"start_cycle\":{},\"end_cycle\":{},\"instructions\":{},",
-            "\"ipc\":{},\"mpki_l1d\":{},\"mpki_l2c\":{},\"mpki_llc\":{},",
-            "\"dram_utilization\":{},",
-            "\"pq_occupancy\":[{},{},{}],\"mshr_occupancy\":[{},{},{}]}}"
-        ),
-        s.core,
-        s.start_cycle,
-        s.end_cycle,
-        s.instructions,
-        json_f64(s.ipc),
-        json_f64(s.mpki[0]),
-        json_f64(s.mpki[1]),
-        json_f64(s.mpki[2]),
-        json_f64(s.dram_utilization),
-        s.pq_occupancy[0],
-        s.pq_occupancy[1],
-        s.pq_occupancy[2],
-        s.mshr_occupancy[0],
-        s.mshr_occupancy[1],
-        s.mshr_occupancy[2],
-    )
+pub fn interval_sample_to_json(s: &IntervalSample) -> Json {
+    let triple = |v: [u32; 3]| Json::from(v.map(Json::from).to_vec());
+    Json::object()
+        .with("core", s.core)
+        .with("start_cycle", s.start_cycle)
+        .with("end_cycle", s.end_cycle)
+        .with("instructions", s.instructions)
+        .with("ipc", Json::float(s.ipc))
+        .with("mpki_l1d", Json::float(s.mpki[0]))
+        .with("mpki_l2c", Json::float(s.mpki[1]))
+        .with("mpki_llc", Json::float(s.mpki[2]))
+        .with("dram_utilization", Json::float(s.dram_utilization))
+        .with("pq_occupancy", triple(s.pq_occupancy))
+        .with("mshr_occupancy", triple(s.mshr_occupancy))
 }
 
 /// A whole interval time-series as JSON Lines (one object per line).
 pub fn interval_samples_to_json_lines(samples: &[IntervalSample]) -> String {
-    let mut out = String::new();
-    for s in samples {
-        out.push_str(&interval_sample_to_json(s));
-        out.push('\n');
-    }
-    out
+    samples.iter().map(|s| format!("{}\n", interval_sample_to_json(s))).collect()
 }
 
 #[cfg(test)]
@@ -170,6 +170,7 @@ mod tests {
     use super::*;
     use pmp_baselines::{Bingo, DsPatch, Pythia, SppPpf};
     use pmp_core::{Pmp, PmpConfig};
+    use pmp_types::json::parse;
 
     #[test]
     fn table_iii_sums_to_4_3_kb() {
@@ -205,18 +206,6 @@ mod tests {
         assert!((4.0..=10.0).contains(&r), "Pythia/PMP ratio ≈6×, got {r:.1}");
     }
 
-    /// Minimal flat-JSON reader for the round-trip test: value of a
-    /// top-level (or nested-object) numeric key.
-    fn json_num(json: &str, key: &str) -> f64 {
-        let pat = format!("\"{key}\":");
-        let start = json.find(&pat).unwrap_or_else(|| panic!("{key} missing")) + pat.len();
-        let rest = &json[start..];
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-            .unwrap_or(rest.len());
-        rest[..end].parse().unwrap_or_else(|_| panic!("{key} not numeric: {rest}"))
-    }
-
     #[test]
     fn sim_stats_json_round_trips_values() {
         use pmp_types::CacheLevel;
@@ -229,19 +218,19 @@ mod tests {
         };
         s.level_mut(CacheLevel::L2C).pf_useful = 9;
         s.level_mut(CacheLevel::Llc).writebacks = 3;
-        let json = sim_stats_to_json(&s);
-        assert_eq!(json_num(&json, "instructions"), 12345.0);
-        assert_eq!(json_num(&json, "cycles"), 6789.0);
-        assert_eq!(json_num(&json, "pf_issued"), 42.0);
-        assert_eq!(json_num(&json, "dram_requests"), 7.0);
+        let json = parse(&sim_stats_to_json(&s).to_string()).expect("valid JSON");
+        assert_eq!(json.get("instructions").and_then(Json::number::<u64>), Some(12345));
+        assert_eq!(json.get("ipc").and_then(Json::number::<f64>), Some(s.ipc()));
         // The l2c object carries its pf_useful; llc its writebacks.
-        let l2c = &json[json.find("\"l2c\"").unwrap()..json.find("\"llc\"").unwrap()];
-        assert_eq!(json_num(l2c, "pf_useful"), 9.0);
-        let llc = &json[json.find("\"llc\"").unwrap()..];
-        assert_eq!(json_num(llc, "writebacks"), 3.0);
-        // Structurally valid enough: balanced braces, no trailing comma.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",}"));
+        let l2c = json.get("l2c").expect("l2c");
+        assert_eq!(l2c.get("pf_useful").and_then(Json::number::<u64>), Some(9));
+        let llc = json.get("llc").expect("llc");
+        assert_eq!(llc.get("writebacks").and_then(Json::number::<u64>), Some(3));
+        assert_eq!(sim_stats_from_json(&json), Some(s));
+        // Any missing counter fails the read.
+        let Json::Obj(mut members) = json else { panic!("object") };
+        members.retain(|(k, _)| k != "dram_writes");
+        assert_eq!(sim_stats_from_json(&Json::Obj(members)), None);
     }
 
     #[test]
@@ -260,11 +249,11 @@ mod tests {
         let lines = interval_samples_to_json_lines(&[s, s]);
         assert_eq!(lines.lines().count(), 2);
         let first = lines.lines().next().unwrap();
-        assert_eq!(json_num(first, "end_cycle"), 2000.0);
-        assert_eq!(json_num(first, "mpki_l1d"), 12.0);
-        assert_eq!(json_num(first, "dram_utilization"), 0.25);
+        let json = parse(first).expect("valid JSON");
+        assert_eq!(json.get("end_cycle").and_then(Json::number::<u64>), Some(2000));
+        assert_eq!(json.get("mpki_l1d").and_then(Json::number::<f64>), Some(12.0));
+        assert_eq!(json.get("dram_utilization").and_then(Json::number::<f64>), Some(0.25));
         assert!(first.contains("\"pq_occupancy\":[1,2,3]"));
-        assert_eq!(first.matches('{').count(), first.matches('}').count());
     }
 
     #[test]
@@ -280,7 +269,7 @@ mod tests {
             pq_occupancy: [0; 3],
             mshr_occupancy: [0; 3],
         };
-        let json = interval_sample_to_json(&s);
+        let json = interval_sample_to_json(&s).to_string();
         assert!(json.contains("\"ipc\":null"));
         assert!(json.contains("\"mpki_l1d\":null"));
     }

@@ -28,6 +28,7 @@
 pub mod access;
 pub mod addr;
 pub mod error;
+pub mod json;
 pub mod level;
 pub mod pattern;
 pub mod provenance;
