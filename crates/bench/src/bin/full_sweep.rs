@@ -26,9 +26,9 @@
 //! on it.
 //!
 //! The whole baseline + paper-five product runs as ONE grid through
-//! the work-stealing scheduler: no per-kind barrier, and the shared
-//! trace cache generates each of the 125 traces once instead of once
-//! per prefetcher.
+//! `run_grid`'s worker pool in grid order: no per-kind barrier, and
+//! the shared trace cache generates each of the 125 traces once
+//! instead of once per prefetcher.
 use pmp_bench::prefetchers::PrefetcherKind;
 use pmp_bench::progress::{ProgressMode, ProgressReporter};
 use pmp_bench::runner::{geo_mean, run_cell, run_grid, CellSpec, RunConfig, RunOutcome};
@@ -98,7 +98,7 @@ fn main() {
     };
 
     // Baseline + paper five as ONE 125 × 6 grid through the shared
-    // scheduler pool; outcomes are partitioned by prefetcher label
+    // worker pool; outcomes are partitioned by prefetcher label
     // afterwards. Traces whose baseline cell failed are excluded from
     // every comparison below (there is nothing to normalise by).
     telemetry::phase("grid");

@@ -7,6 +7,7 @@
 //! interval time-series CSV and JSON Lines are also written under
 //! `results/obs/`.
 
+use pmp_bench::{scale_or_exit, write_artifact};
 use pmp_core::{Pmp, PmpConfig};
 use pmp_sim::{EventKind, ObsCollector, System, SystemConfig};
 use pmp_stats::report::interval_table;
@@ -14,17 +15,11 @@ use pmp_stats::storage::interval_samples_to_json_lines;
 use pmp_stats::{sim_stats_to_json, Table};
 use pmp_traces::{catalog, TraceScale};
 use pmp_types::json::Json;
-use std::fs;
 
 fn main() {
     let trace_name =
         std::env::args().nth(1).unwrap_or_else(|| "spec06.stream_1".to_string());
-    let scale = match std::env::args().nth(2).as_deref() {
-        Some("tiny") => TraceScale::Tiny,
-        Some("small") => TraceScale::Small,
-        Some("large") => TraceScale::Large,
-        _ => TraceScale::Standard,
-    };
+    let scale = scale_or_exit("scale", std::env::args().nth(2).as_deref(), TraceScale::Standard);
     let spec = catalog()
         .into_iter()
         .find(|s| s.name == trace_name)
@@ -109,14 +104,6 @@ fn main() {
     println!("-- pmp introspection --\n{}", gauges.render());
 
     // --- 5. Machine-readable exports.
-    let _ = fs::create_dir_all("results/obs");
-    let csv_path = "results/obs/intervals.csv";
-    let jsonl_path = "results/obs/intervals.jsonl";
-    let stats_path = "results/obs/stats.json";
-    let hist_path = "results/obs/latency_histograms.jsonl";
-    let _ = fs::write(csv_path, series.to_csv());
-    let _ = fs::write(jsonl_path, interval_samples_to_json_lines(&samples));
-    let _ = fs::write(stats_path, sim_stats_to_json(&result.stats).to_string());
     let mut hist_lines = String::new();
     for (label, hist) in [
         ("pf_issue_to_fill", collector.pf_latency()),
@@ -133,6 +120,23 @@ fn main() {
             .with("buckets", Json::Arr(buckets.collect()));
         hist_lines.push_str(&format!("{line}\n"));
     }
-    let _ = fs::write(hist_path, hist_lines);
-    println!("wrote {csv_path}, {jsonl_path}, {stats_path}, {hist_path}");
+    let artifacts = [
+        ("results/obs/intervals.csv", series.to_csv()),
+        ("results/obs/intervals.jsonl", interval_samples_to_json_lines(&samples)),
+        ("results/obs/stats.json", sim_stats_to_json(&result.stats).to_string()),
+        ("results/obs/latency_histograms.jsonl", hist_lines),
+    ];
+    let mut failed = false;
+    for (path, body) in &artifacts {
+        match write_artifact(path.as_ref(), body) {
+            Ok(()) => println!("wrote {path}"),
+            Err(e) => {
+                eprintln!("failed to write {path}: {e}");
+                failed = true;
+            }
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
 }

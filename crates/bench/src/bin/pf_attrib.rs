@@ -12,19 +12,14 @@
 
 use pmp_bench::attrib::{render_text, run_attrib};
 use pmp_bench::prefetchers::PrefetcherKind;
-use pmp_bench::write_artifact;
+use pmp_bench::{scale_or_exit, write_artifact};
 use pmp_obs::Fate;
 use pmp_traces::{catalog, TraceScale};
 use pmp_types::json::Json;
 
 fn main() {
     let trace_name = std::env::args().nth(1).unwrap_or_else(|| "spec06.stream_1".to_string());
-    let scale = match std::env::args().nth(2).as_deref() {
-        Some("tiny") => TraceScale::Tiny,
-        Some("small") => TraceScale::Small,
-        Some("large") => TraceScale::Large,
-        _ => TraceScale::Standard,
-    };
+    let scale = scale_or_exit("scale", std::env::args().nth(2).as_deref(), TraceScale::Standard);
     let kind_label = std::env::args().nth(3).unwrap_or_else(|| "pmp".to_string());
     let kind = PrefetcherKind::from_label(&kind_label)
         .unwrap_or_else(|| panic!("unknown prefetcher kind {kind_label}"));
@@ -64,6 +59,9 @@ fn main() {
         .pretty();
     match write_artifact(json_path.as_ref(), &doc) {
         Ok(()) => println!("wrote {json_path}"),
-        Err(e) => eprintln!("failed to write {json_path}: {e}"),
+        Err(e) => {
+            eprintln!("failed to write {json_path}: {e}");
+            std::process::exit(1);
+        }
     }
 }

@@ -1,15 +1,12 @@
 //! Quick end-to-end sanity check: a few traces × all prefetchers.
 use pmp_bench::prefetchers::PrefetcherKind;
 use pmp_bench::runner::{geo_mean, run_specs_grid, normalized_ipcs, RunConfig};
+use pmp_bench::scale_or_exit;
 use pmp_traces::{catalog, TraceScale};
 use pmp_types::CacheLevel;
 
 fn main() {
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("small") => TraceScale::Small,
-        Some("standard") => TraceScale::Standard,
-        _ => TraceScale::Small,
-    };
+    let scale = scale_or_exit("scale", std::env::args().nth(1).as_deref(), TraceScale::Small);
     let all = catalog();
     let names = ["spec06.stream_1","spec06.astar_0","spec06.mcf_2","spec06.hash_3","spec17.stride_2","ligra.bfs_2","ligra.pagerank_4","parsec.stencil_2"];
     let specs: Vec<_> = all.iter().filter(|s| names.contains(&s.name.as_str())).cloned().collect();
@@ -25,8 +22,8 @@ fn main() {
         PrefetcherKind::Pmp,
     ];
     let t0 = std::time::Instant::now();
-    // One scheduler product: every trace is generated once and shared
-    // across all eight prefetchers.
+    // One grid: every trace is generated once and shared across all
+    // eight prefetchers.
     let mut grids = run_specs_grid(&specs, &kinds, &cfg).into_iter();
     let base = grids.next().expect("baseline grid present");
     println!("grid done in {:?}", t0.elapsed());

@@ -7,20 +7,12 @@
 //! trace_tool info /tmp/mcf2.pmpt
 //! ```
 
+use pmp_bench::scale_or_exit;
 use pmp_traces::io::{read_trace, write_trace};
 use pmp_traces::{catalog, TraceScale};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
-
-fn scale_of(arg: Option<&str>) -> TraceScale {
-    match arg {
-        Some("tiny") => TraceScale::Tiny,
-        Some("standard") => TraceScale::Standard,
-        Some("large") => TraceScale::Large,
-        _ => TraceScale::Small,
-    }
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,7 +29,8 @@ fn main() -> ExitCode {
                 eprintln!("unknown trace {name} (see `trace_tool list`)");
                 return ExitCode::FAILURE;
             };
-            let trace = spec.build(scale_of(args.get(3).map(String::as_str)));
+            let scale = scale_or_exit("scale", args.get(3).map(String::as_str), TraceScale::Small);
+            let trace = spec.build(scale);
             let file = match File::create(&args[2]) {
                 Ok(f) => f,
                 Err(e) => {

@@ -14,7 +14,7 @@ fn sweep_config() -> Vec<TraceSpec> {
     representative_subset()
 }
 
-/// One scheduler product over `[baseline] + kinds`: the baseline
+/// One grid over `[baseline] + kinds`: the baseline
 /// outcomes first, then one outcome set per requested kind.
 fn baseline_and(
     specs: &[TraceSpec],
@@ -29,7 +29,7 @@ fn baseline_and(
 }
 
 /// Run several PMP variants against one shared baseline — the whole
-/// `(1 + variants) × specs` product as one scheduler grid.
+/// `(1 + variants) × specs` product as one grid.
 fn pmp_variants(
     specs: &[TraceSpec],
     cfg: &RunConfig,

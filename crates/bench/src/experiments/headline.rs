@@ -19,8 +19,8 @@ pub struct HeadlineRuns {
 }
 
 impl HeadlineRuns {
-    /// Execute the grid: all seven kinds × 125 traces as one scheduler
-    /// product (each trace generated once, no per-kind barrier).
+    /// Execute the grid: all seven kinds × 125 traces as one grid
+    /// (each trace generated once, no per-kind barrier).
     pub fn execute(scale: TraceScale) -> Self {
         let specs = catalog();
         let cfg = RunConfig { scale, ..RunConfig::default() };

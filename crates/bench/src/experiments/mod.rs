@@ -14,14 +14,11 @@ pub mod storage;
 use pmp_traces::TraceScale;
 
 /// Resolve the experiment scale from `PMP_SCALE`
-/// (`tiny`/`small`/`standard`/`large`), defaulting to `standard`.
+/// (`tiny`/`small`/`standard`/`large`), defaulting to `standard` when
+/// unset or empty; any other value exits with a usage error.
 pub fn scale_from_env() -> TraceScale {
-    match std::env::var("PMP_SCALE").as_deref() {
-        Ok("tiny") => TraceScale::Tiny,
-        Ok("small") => TraceScale::Small,
-        Ok("large") => TraceScale::Large,
-        _ => TraceScale::Standard,
-    }
+    let label = std::env::var("PMP_SCALE").ok().filter(|s| !s.is_empty());
+    crate::scale_or_exit("PMP_SCALE", label.as_deref(), TraceScale::Standard)
 }
 
 /// Format a float as the paper prints NIPCs (three decimals).

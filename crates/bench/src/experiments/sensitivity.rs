@@ -7,7 +7,7 @@ use pmp_sim::SystemConfig;
 use pmp_stats::report::{render_series, Series};
 use pmp_traces::{representative_subset, TraceScale};
 
-/// Baseline + paper-five over `specs` as one scheduler grid for one
+/// Baseline + paper-five over `specs` as one grid for one
 /// system-config point; returns (baseline outcomes, per-kind outcomes
 /// in `paper_five` order).
 fn point_grids(

@@ -83,10 +83,6 @@ pub struct ResumeInfo {
 #[derive(Default)]
 pub struct Journal {
     entries: HashMap<String, JournalEntry>,
-    /// `wall_ms` of every record found on disk at open time — harvested
-    /// even on a fresh (truncating) open, so the scheduler's cost model
-    /// can seed from a prior run's measured cell costs.
-    wall_hints: HashMap<String, u64>,
     writer: Option<Box<dyn Write + Send>>,
     hits: u64,
     /// Appends that never reached the writer (disk full, IO error).
@@ -99,7 +95,6 @@ impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Journal")
             .field("entries", &self.entries.len())
-            .field("wall_hints", &self.wall_hints.len())
             .field("writer", &self.writer.is_some())
             .field("hits", &self.hits)
             .field("dropped", &self.dropped)
@@ -121,9 +116,7 @@ impl Journal {
 
     /// Open (append mode) the journal at `path`. With `resume` the
     /// existing records are loaded for reuse; without it the file is
-    /// truncated and the sweep starts fresh. Either way, the `wall_ms`
-    /// of every parseable existing record is harvested first as a
-    /// [`Journal::cost_hint_ms`] for the scheduler's cost model.
+    /// truncated unread and the sweep starts fresh.
     ///
     /// # Errors
     ///
@@ -137,27 +130,20 @@ impl Journal {
         }
         let mut journal = Journal::default();
         let mut info = ResumeInfo::default();
-        match std::fs::read_to_string(path) {
-            Ok(body) => {
-                for line in body.lines().filter(|l| !l.trim().is_empty()) {
-                    match parse_record(line) {
-                        Some((key, entry)) => {
-                            journal.wall_hints.insert(key.clone(), entry.wall_ms);
-                            if resume {
-                                journal.entries.insert(key, entry);
-                            }
-                        }
-                        None if resume => info.skipped += 1,
-                        None => {}
-                    }
+        if resume {
+            let body = match std::fs::read_to_string(path) {
+                Ok(body) => body,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+                Err(e) => return Err(e),
+            };
+            for line in body.lines().filter(|l| !l.trim().is_empty()) {
+                if let Some((key, entry)) = parse_record(line) {
+                    journal.entries.insert(key, entry);
+                } else {
+                    info.skipped += 1;
                 }
-                info.loaded = journal.entries.len();
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) if resume => return Err(e),
-            // A fresh open truncates anyway: unreadable old content
-            // only costs the cost hints.
-            Err(_) => {}
+            info.loaded = journal.entries.len();
         }
         let file = OpenOptions::new()
             .create(true)
@@ -167,13 +153,6 @@ impl Journal {
             .open(path)?;
         journal.writer = Some(Box::new(BufWriter::new(file)));
         Ok((journal, info))
-    }
-
-    /// Whether all of `keys` are journaled, without counting a resume
-    /// hit. Cost-model peeks (the scheduler asks "would this cell
-    /// resume?" to order work) must not inflate the resumed tally.
-    pub fn contains_all(&self, keys: &[String]) -> bool {
-        keys.iter().all(|k| self.entries.contains_key(k))
     }
 
     /// The journaled entries for *all* of `keys` — one key for a
@@ -228,15 +207,6 @@ impl Journal {
                 self.last_error.as_deref().unwrap_or("unknown error"),
             )
         })
-    }
-
-    /// The wall-clock cost (`wall_ms`) recorded for `key` by a prior
-    /// run's journal, if any — `None` for unknown keys and for
-    /// pre-telemetry records whose cost was never measured. The
-    /// scheduler prefers these measured costs over histogram estimates
-    /// when ordering a fresh sweep.
-    pub fn cost_hint_ms(&self, key: &str) -> Option<u64> {
-        self.wall_hints.get(key).copied().filter(|&ms| ms > 0)
     }
 
     /// Completed cells currently known.
@@ -300,12 +270,6 @@ pub fn global_lookup_all(keys: &[String]) -> Option<Vec<JournalEntry>> {
     global_slot().as_mut().and_then(|j| j.lookup_all(keys))
 }
 
-/// Non-counting peek: whether *all* of `keys` are journaled (false when
-/// no journal is installed). See [`Journal::contains_all`].
-pub fn global_contains_all(keys: &[String]) -> bool {
-    global_slot().as_ref().is_some_and(|j| j.contains_all(keys))
-}
-
 /// Record a completed cell into the global journal (no-op when
 /// inactive).
 pub fn global_record(key: &str, entry: JournalEntry) {
@@ -317,12 +281,6 @@ pub fn global_record(key: &str, entry: JournalEntry) {
 /// Lookups served from the global journal so far (resume hit count).
 pub fn global_hits() -> u64 {
     global_slot().as_ref().map_or(0, Journal::hits)
-}
-
-/// Prior-run cost hint for a cell key (None when inactive or unknown).
-/// See [`Journal::cost_hint_ms`].
-pub fn global_cost_hint_ms(key: &str) -> Option<u64> {
-    global_slot().as_ref().and_then(|j| j.cost_hint_ms(key))
 }
 
 /// End-of-sweep warning when any journal append failed to persist
@@ -560,17 +518,6 @@ mod tests {
         assert_eq!(journal.hits(), 1, "one resumed cell, not one hit per core");
     }
 
-    #[test]
-    fn contains_peeks_without_counting_hits() {
-        let mut journal = Journal::in_memory();
-        journal.record("cell-x", sample_entry());
-        assert!(journal.contains_all(&["cell-x".into()]));
-        assert!(!journal.contains_all(&["cell-x".into(), "cell-y".into()]));
-        assert_eq!(journal.hits(), 0, "peeks must not count as resumes");
-        assert!(journal.lookup_all(&["cell-x".into()]).is_some());
-        assert_eq!(journal.hits(), 1);
-    }
-
     /// A writer that fails every write, like a full disk that stays
     /// full.
     struct BrokenWriter;
@@ -598,32 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn fresh_open_harvests_cost_hints_before_truncating() {
-        let dir = std::env::temp_dir().join("pmp_journal_hints_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("journal.jsonl");
-        {
-            let (mut journal, _) = Journal::open(&path, false).expect("open");
-            journal.record("cell-a", sample_entry()); // wall_ms 137
-            let mut zero = sample_entry();
-            zero.wall_ms = 0; // pre-telemetry record: no usable hint
-            journal.record("cell-z", zero);
-        }
-        let (journal, info) = Journal::open(&path, false).expect("fresh reopen");
-        assert_eq!(info.loaded, 0, "fresh open must not resume entries");
-        assert!(journal.is_empty());
-        assert_eq!(journal.cost_hint_ms("cell-a"), Some(137), "hint survives truncation");
-        assert_eq!(journal.cost_hint_ms("cell-z"), None, "zero-cost records hint nothing");
-        assert_eq!(journal.cost_hint_ms("cell-missing"), None);
-        assert_eq!(
-            std::fs::read_to_string(&path).expect("read").len(),
-            0,
-            "the file itself is still truncated"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn cell_key_hash_is_pinned() {
         // FNV-1a 64 of "PmpCustom|cfg": journals written before keys
         // moved to `pmp_types::fnv1a_64` must keep resuming.
@@ -648,8 +569,7 @@ mod tests {
         }
         let (mut journal, info) = Journal::open(&path, true).expect("reopen");
         assert_eq!((info.loaded, info.skipped), (1, 0));
-        assert!(journal.contains_all(std::slice::from_ref(&key)), "{key:?} must resume");
-        assert_eq!(journal.cost_hint_ms(&key), Some(137));
+        assert!(journal.lookup_all(std::slice::from_ref(&key)).is_some(), "{key:?} must resume");
         let got = journal.lookup_all(&[key]).expect("resumes");
         assert_eq!(got[0].trace, cell.name());
         let _ = std::fs::remove_dir_all(&dir);

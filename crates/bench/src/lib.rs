@@ -32,9 +32,10 @@ pub mod microbench;
 pub mod prefetchers;
 pub mod progress;
 pub mod runner;
-pub mod scheduler;
 pub mod telemetry;
 pub mod trace_pool;
+
+use pmp_traces::TraceScale;
 
 /// Write `body` to `path`, creating the parent directory first: how
 /// the bins land their `results/` artifacts.
@@ -47,4 +48,20 @@ pub fn write_artifact(path: &std::path::Path, body: &str) -> std::io::Result<()>
         std::fs::create_dir_all(dir)?;
     }
     std::fs::write(path, body)
+}
+
+/// Resolve an optional scale label from `source` (an argument or
+/// environment variable name, for the message): `default` when absent,
+/// the matching [`TraceScale`] when it is one of
+/// [`TraceScale::LABELS`]. Anything else is a usage error: the labels
+/// go to stderr and the process exits with status 2.
+pub fn scale_or_exit(source: &str, label: Option<&str>, default: TraceScale) -> TraceScale {
+    let Some(label) = label else { return default };
+    TraceScale::from_label(label).unwrap_or_else(|| {
+        eprintln!(
+            "{source}: unknown scale {label:?}; expected one of {}",
+            TraceScale::LABELS.join(", ")
+        );
+        std::process::exit(2)
+    })
 }

@@ -18,7 +18,6 @@
 
 use crate::journal::{self, JournalEntry};
 use crate::prefetchers::PrefetcherKind;
-use crate::scheduler;
 use crate::telemetry;
 use pmp_obs::{CellSpan, SpanOutcome};
 use pmp_sim::{MultiCoreSystem, SimResult, SimStats, System, SystemConfig};
@@ -295,9 +294,9 @@ pub fn run_cell(cell: &CellSpec, kind: &PrefetcherKind, cfg: &RunConfig) -> Cell
     run_cell_cached(cell, kind, cfg, None)
 }
 
-/// [`run_cell`] with an optional shared trace cache — the scheduler's
-/// per-work-item entry point (each distinct trace builds or decodes
-/// once per grid).
+/// [`run_cell`] with an optional shared trace cache — [`run_grid`]'s
+/// per-cell entry point (each distinct trace builds or decodes once
+/// per grid).
 ///
 /// The one cell pipeline every flavour shares: validate, journal
 /// lookup (all-or-nothing over the cell's keys), then load, warm start,
@@ -491,12 +490,10 @@ fn aggregate(per_core: &[SimStats]) -> SimStats {
     total
 }
 
-/// Run the full `specs × kinds` product through one scheduler pool and
-/// return the outcomes grouped per kind (outer `Vec` in `kinds` order,
-/// inner in `specs` order) — the strict grid helper for report
-/// generators that compare prefetchers over one trace set. One shared
-/// work pool means no per-kind barrier, and the shared trace cache
-/// builds each spec once for the whole product.
+/// Run the `specs × kinds` grid through [`run_grid`] and return the
+/// outcomes grouped per kind (outer `Vec` in `kinds` order, inner in
+/// `specs` order) — the strict grid helper for report generators that
+/// compare prefetchers over one trace set.
 ///
 /// # Panics
 ///
@@ -508,33 +505,24 @@ pub fn run_specs_grid(
     kinds: &[PrefetcherKind],
     cfg: &RunConfig,
 ) -> Vec<Vec<RunOutcome>> {
-    telemetry::expect_cells(specs.len() * kinds.len());
     let cells: Vec<CellSpec> = specs.iter().cloned().map(CellSpec::Synthetic).collect();
-    let (cache, _, _) = crate::trace_pool::grid_cache();
-    let mut results = scheduler::run_product(&cells, kinds, cfg, &cache).into_iter();
-    kinds
-        .iter()
-        .map(|_| {
-            results
-                .by_ref()
-                .take(specs.len())
-                .map(|r| r.unwrap_or_else(|f| panic!("sweep requires a full grid; {f}")))
-                .collect()
-        })
-        .collect()
+    let (outcomes, summary) = run_grid(&cells, kinds, cfg);
+    if let Some(f) = summary.failures.first() {
+        panic!("sweep requires a full grid; {f}");
+    }
+    let mut outcomes = outcomes.into_iter();
+    kinds.iter().map(|_| outcomes.by_ref().take(specs.len()).collect()).collect()
 }
 
 /// Run a mixed grid of cells under several prefetchers, collecting
 /// every outcome and failure into a [`SweepSummary`].
 ///
-/// The full `cells × kinds` product executes through one shared
-/// worker pool ([`scheduler::run_product`]): cost-aware ordering
-/// (longest-expected-first from the observer's histograms, journaled
-/// cells last), no per-kind barrier, and a per-grid [`TraceCache`] so
-/// each distinct trace is generated or decoded exactly once. Outcomes
-/// come back in grid order (kind-major, matching the historical
-/// per-kind loop), and `resumed` is this grid's journal-hit delta, not
-/// the process-lifetime total.
+/// The `cells × kinds` grid runs through one [`parallel_map`] pool in
+/// grid order — kind-major, `kind_idx * cells.len() + cell_idx` — with
+/// no per-kind barrier and a per-grid [`TraceCache`] (or the installed
+/// [`crate::trace_pool`]), so each distinct trace is generated or
+/// decoded once. Outcomes come back in the same order, and `resumed`
+/// is this grid's journal-hit delta, not the process-lifetime total.
 pub fn run_grid(
     cells: &[CellSpec],
     kinds: &[PrefetcherKind],
@@ -543,7 +531,10 @@ pub fn run_grid(
     telemetry::expect_cells(cells.len() * kinds.len());
     let hits_before = journal::global_hits();
     let (cache, trace_builds_before, trace_hits_before) = crate::trace_pool::grid_cache();
-    let results = scheduler::run_product(cells, kinds, cfg, &cache);
+    let grid: Vec<usize> = (0..cells.len() * kinds.len()).collect();
+    let results = parallel_map(&grid, |&i| {
+        run_cell_cached(&cells[i % cells.len()], &kinds[i / cells.len()], cfg, Some(&cache))
+    });
     let mut outcomes = Vec::new();
     let mut summary = SweepSummary::default();
     for result in results {
@@ -609,14 +600,13 @@ impl SweepSummary {
 /// Simple scoped-thread parallel map preserving input order — the
 /// crate's one worker pool.
 ///
-/// Workers pull items off a shared cursor in slice order, so a caller
-/// that sorts its items also sets the execution order (the grid
-/// scheduler passes its longest-first order). Results travel over a
-/// channel instead of per-slot mutexes, so a panicking worker cannot
-/// poison anything: completed items are unaffected and the worker's own
-/// panic resurfaces (unchanged) once the scope joins. Callers wanting
-/// isolation instead of propagation wrap `f` in `catch_unwind` —
-/// [`run_cell`] does exactly that.
+/// Workers pull items off a shared cursor in slice order, so items
+/// start in the order given ([`run_grid`] passes grid order). Results
+/// travel over a channel instead of per-slot mutexes, so a panicking
+/// worker cannot poison anything: completed items are unaffected and
+/// the worker's own panic resurfaces (unchanged) once the scope joins.
+/// Callers wanting isolation instead of propagation wrap `f` in
+/// `catch_unwind` — [`run_cell`] does exactly that.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

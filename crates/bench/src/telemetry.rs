@@ -75,14 +75,6 @@ pub fn expect_cells(n: usize) {
     }
 }
 
-/// Expected wall cost of a (prefetcher `group`, archetype `family`)
-/// cell from the installed observer's span history — the scheduler's
-/// cost model seeds its longest-expected-first ordering from this.
-/// `None` when no observer is installed or it has no usable history.
-pub fn expected_cell_ms(group: &str, family: &str) -> Option<f64> {
-    slot().as_ref().and_then(|obs| obs.expected_cost_ms(group, family))
-}
-
 /// Render the observer's final state as the `BENCH_sweep.json`
 /// document. `grid` names the sweep that produced it (`run_all`,
 /// `full_sweep`, …) and `scale` the trace scale it ran at.

@@ -316,25 +316,6 @@ impl SweepObserver {
         }
     }
 
-    /// Expected wall cost, in milliseconds, of a cell belonging to
-    /// `group` (prefetcher) and `family` (archetype class), estimated
-    /// from the spans recorded so far: the mean of the matching
-    /// per-group and per-family histograms (averaged when both exist),
-    /// falling back to the EWMA once anything has executed, and `None`
-    /// with no history at all — the caller supplies its own prior.
-    /// Schedulers use this to order work longest-expected-first.
-    pub fn expected_cost_ms(&self, group: &str, family: &str) -> Option<f64> {
-        let inner = self.lock();
-        let g = inner.by_group.get(group).filter(|h| h.count() > 0).map(Log2Histogram::mean);
-        let f = inner.by_family.get(family).filter(|h| h.count() > 0).map(Log2Histogram::mean);
-        match (g, f) {
-            (Some(g), Some(f)) => Some((g + f) / 2.0),
-            (Some(g), None) => Some(g),
-            (None, Some(f)) => Some(f),
-            (None, None) => (inner.executed > 0).then_some(inner.ewma_cell_ms),
-        }
-    }
-
     /// Per-group (prefetcher) wall-time histograms, sorted by name.
     pub fn group_hists(&self) -> Vec<(String, Log2Histogram)> {
         self.lock().by_group.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
@@ -512,25 +493,6 @@ mod tests {
         let snap = obs.snapshot_at(200);
         let eta = snap.eta_ms.expect("eta");
         assert!((250..=350).contains(&eta), "expected ~300 ms, got {eta}");
-    }
-
-    #[test]
-    fn expected_cost_blends_group_and_family_history() {
-        let obs = SweepObserver::manual_clock();
-        assert_eq!(obs.expected_cost_ms("pmp", "stream"), None, "no history, no estimate");
-        obs.finish(span("a", "pmp", 100, SpanOutcome::Ok)); // family "stream"
-        obs.finish(span("b", "bingo", 300, SpanOutcome::Ok)); // family "stream"
-        // Known group and family: mean of the two histogram means.
-        let cost = obs.expected_cost_ms("pmp", "stream").expect("history exists");
-        let group_mean = obs.group_hists()[1].1.mean(); // "pmp"
-        let family_mean = obs.family_hists()[0].1.mean(); // "stream"
-        assert!((cost - (group_mean + family_mean) / 2.0).abs() < 1e-9);
-        // Unseen group, known family: the family carries the estimate.
-        let fam_only = obs.expected_cost_ms("dspatch", "stream").expect("family history");
-        assert!((fam_only - family_mean).abs() < 1e-9);
-        // Nothing matches but cells have executed: EWMA fallback.
-        let fallback = obs.expected_cost_ms("dspatch", "mix").expect("ewma fallback");
-        assert!(fallback > 0.0);
     }
 
     #[test]

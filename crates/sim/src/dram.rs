@@ -33,20 +33,15 @@ impl Dram {
     }
 
     /// Perform one line access at cycle `now`; returns its latency in
-    /// cycles (queuing + fixed latency + transfer).
-    pub fn access(&mut self, now: u64, line: LineAddr) -> u64 {
+    /// cycles (queuing + fixed latency + transfer) and reports it as a
+    /// [`TraceEvent::DramFetch`].
+    pub fn access<T: Tracer>(&mut self, now: u64, line: LineAddr, tracer: &mut T) -> u64 {
         self.requests += 1;
         let ch = (line.0 as usize) % self.next_free.len();
         let start = self.next_free[ch].max(now as f64);
         self.next_free[ch] = start + self.cycles_per_line;
         let queue_wait = (start - now as f64) as u64;
-        queue_wait + self.latency + self.cycles_per_line.ceil() as u64
-    }
-
-    /// [`Dram::access`] that reports the fetch (with its latency) as a
-    /// [`TraceEvent::DramFetch`].
-    pub fn access_traced<T: Tracer>(&mut self, now: u64, line: LineAddr, tracer: &mut T) -> u64 {
-        let latency = self.access(now, line);
+        let latency = queue_wait + self.latency + self.cycles_per_line.ceil() as u64;
         tracer.emit(TraceEvent::DramFetch { line, cycle: now, latency });
         latency
     }
@@ -67,17 +62,12 @@ impl Dram {
     }
 
     /// Queue a write-back: occupies channel bandwidth but nothing
-    /// waits on its latency.
-    pub fn write_back(&mut self, line: LineAddr) {
+    /// waits on its latency. Reported as a [`TraceEvent::DramWriteback`]
+    /// stamped with `now`.
+    pub fn write_back<T: Tracer>(&mut self, line: LineAddr, now: u64, tracer: &mut T) {
         self.requests += 1;
         let ch = (line.0 as usize) % self.next_free.len();
         self.next_free[ch] += self.cycles_per_line;
-    }
-
-    /// [`Dram::write_back`] that reports the write as a
-    /// [`TraceEvent::DramWriteback`] stamped with `now`.
-    pub fn write_back_traced<T: Tracer>(&mut self, line: LineAddr, now: u64, tracer: &mut T) {
-        self.write_back(line);
         tracer.emit(TraceEvent::DramWriteback { line, cycle: now });
     }
 
@@ -96,6 +86,7 @@ impl Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_obs::NullTracer;
 
     fn cfg(mts: u64, channels: usize) -> DramConfig {
         DramConfig { mts, channels, core_hz: 4_000_000_000, latency: 160 }
@@ -105,15 +96,15 @@ mod tests {
     fn idle_latency() {
         let mut d = Dram::new(&cfg(3200, 1));
         // 10 cycles/line at 3200 MT/s.
-        assert_eq!(d.access(0, LineAddr(0)), 170);
+        assert_eq!(d.access(0, LineAddr(0), &mut NullTracer), 170);
         assert_eq!(d.requests(), 1);
     }
 
     #[test]
     fn back_to_back_queues() {
         let mut d = Dram::new(&cfg(3200, 1));
-        let a = d.access(0, LineAddr(0));
-        let b = d.access(0, LineAddr(2));
+        let a = d.access(0, LineAddr(0), &mut NullTracer);
+        let b = d.access(0, LineAddr(2), &mut NullTracer);
         assert_eq!(a, 170);
         assert_eq!(b, 180); // waited 10 cycles for the channel
     }
@@ -121,8 +112,8 @@ mod tests {
     #[test]
     fn channels_are_independent() {
         let mut d = Dram::new(&cfg(3200, 2));
-        let a = d.access(0, LineAddr(0)); // channel 0
-        let b = d.access(0, LineAddr(1)); // channel 1
+        let a = d.access(0, LineAddr(0), &mut NullTracer); // channel 0
+        let b = d.access(0, LineAddr(1), &mut NullTracer); // channel 1
         assert_eq!(a, 170);
         assert_eq!(b, 170);
     }
@@ -134,8 +125,8 @@ mod tests {
         let mut fast_total = 0;
         let mut slow_total = 0;
         for i in 0..16 {
-            fast_total += fast.access(0, LineAddr(i));
-            slow_total += slow.access(0, LineAddr(i));
+            fast_total += fast.access(0, LineAddr(i), &mut NullTracer);
+            slow_total += slow.access(0, LineAddr(i), &mut NullTracer);
         }
         assert!(slow_total > fast_total);
     }
@@ -145,7 +136,7 @@ mod tests {
         let mut d = Dram::new(&cfg(3200, 1));
         assert_eq!(d.utilization(0), 0.0);
         for i in 0..50 {
-            d.access(i * 10, LineAddr(i));
+            d.access(i * 10, LineAddr(i), &mut NullTracer);
         }
         assert!(d.utilization(500) > 0.9);
     }

@@ -248,7 +248,7 @@ fn insert_line<T: Tracer>(
                 // Write-back caches: a dirty LLC eviction writes the
                 // line to DRAM, consuming channel bandwidth.
                 if dirty {
-                    shared.dram.write_back_traced(ev.line, now, tracer);
+                    shared.dram.write_back(ev.line, now, tracer);
                     stats.dram_writes += 1;
                 }
             }
@@ -340,7 +340,7 @@ pub fn demand_access<T: Tracer>(
             s.store_misses += 1;
         }
     }
-    latency += l1_lat + cores[who].l1_mshr.wait_for_free_traced(now, CacheLevel::L1D, tracer);
+    latency += l1_lat + cores[who].l1_mshr.wait_for_free(now, CacheLevel::L1D, tracer);
 
     // ---- L2C ----
     let l2_lat = cores[who].l2_lat;
@@ -419,7 +419,7 @@ pub fn demand_access<T: Tracer>(
         }
     }
     latency +=
-        l2_lat + cores[who].l2_mshr.wait_for_free_traced(now + latency, CacheLevel::L2C, tracer);
+        l2_lat + cores[who].l2_mshr.wait_for_free(now + latency, CacheLevel::L2C, tracer);
 
     // ---- LLC ----
     let llc_lat = shared.llc_lat;
@@ -500,10 +500,10 @@ pub fn demand_access<T: Tracer>(
         }
     }
     latency +=
-        llc_lat + shared.llc_mshr.wait_for_free_traced(now + latency, CacheLevel::Llc, tracer);
+        llc_lat + shared.llc_mshr.wait_for_free(now + latency, CacheLevel::Llc, tracer);
 
     // ---- DRAM ----
-    let dram_lat = shared.dram.access_traced(now + latency, line, tracer);
+    let dram_lat = shared.dram.access(now + latency, line, tracer);
     stats.dram_requests += 1;
     let total = latency + dram_lat;
     let ready = now + total;
@@ -647,7 +647,7 @@ pub fn prefetch_access<T: Tracer>(
         Some(CacheLevel::Llc) => latency += shared.llc_lat,
         None => {
             latency += shared.llc_lat;
-            latency += shared.dram.access_traced(now + latency, line, tracer);
+            latency += shared.dram.access(now + latency, line, tracer);
             stats.dram_requests += 1;
         }
         Some(CacheLevel::L1D) => unreachable!("redundant prefetch handled above"),
@@ -656,13 +656,13 @@ pub fn prefetch_access<T: Tracer>(
 
     match fill {
         CacheLevel::L1D => {
-            cores[who].l1_pq.push_traced(now, CacheLevel::L1D, tracer);
+            cores[who].l1_pq.push(now, CacheLevel::L1D, tracer);
         }
         CacheLevel::L2C => {
-            cores[who].l2_pq.push_traced(now, CacheLevel::L2C, tracer);
+            cores[who].l2_pq.push(now, CacheLevel::L2C, tracer);
         }
         CacheLevel::Llc => {
-            shared.llc_pq.push_traced(now, CacheLevel::Llc, tracer);
+            shared.llc_pq.push(now, CacheLevel::Llc, tracer);
         }
     }
 

@@ -71,29 +71,17 @@ impl Mshr {
         self.entries.iter().find(|e| e.line == line).map(|e| e.ready)
     }
 
-    /// Cycles until at least one entry is free (0 if one is free now).
-    pub fn wait_for_free(&mut self, now: u64) -> u64 {
+    /// Cycles until at least one entry is free (0 if one is free now);
+    /// a non-zero wait is reported as a [`TraceEvent::MshrStall`] at
+    /// `level`.
+    pub fn wait_for_free<T: Tracer>(&mut self, now: u64, level: CacheLevel, tracer: &mut T) -> u64 {
         self.purge(now);
         if self.entries.len() < self.capacity {
-            0
-        } else {
-            let earliest = self.entries.iter().map(|e| e.ready).min().expect("full file");
-            earliest - now
+            return 0;
         }
-    }
-
-    /// [`Mshr::wait_for_free`] that reports a non-zero wait to the
-    /// tracer as a [`TraceEvent::MshrStall`] at `level`.
-    pub fn wait_for_free_traced<T: Tracer>(
-        &mut self,
-        now: u64,
-        level: CacheLevel,
-        tracer: &mut T,
-    ) -> u64 {
-        let wait = self.wait_for_free(now);
-        if wait > 0 {
-            tracer.emit(TraceEvent::MshrStall { level, cycle: now, wait });
-        }
+        let earliest = self.entries.iter().map(|e| e.ready).min().expect("full file");
+        let wait = earliest - now;
+        tracer.emit(TraceEvent::MshrStall { level, cycle: now, wait });
         wait
     }
 
@@ -125,6 +113,7 @@ impl Mshr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_obs::NullTracer;
 
     #[test]
     fn merge_in_flight() {
@@ -148,9 +137,9 @@ mod tests {
         let mut m = Mshr::new(2);
         m.allocate(0, LineAddr(1), 100);
         m.allocate(0, LineAddr(2), 60);
-        assert_eq!(m.wait_for_free(10), 50);
+        assert_eq!(m.wait_for_free(10, CacheLevel::L2C, &mut NullTracer), 50);
         // After 60, one slot is free.
-        assert_eq!(m.wait_for_free(60), 0);
+        assert_eq!(m.wait_for_free(60, CacheLevel::L2C, &mut NullTracer), 0);
     }
 
     #[test]
@@ -158,10 +147,10 @@ mod tests {
         use pmp_obs::{EventKind, ObsCollector};
         let mut m = Mshr::new(1);
         let mut obs = ObsCollector::new();
-        assert_eq!(m.wait_for_free_traced(0, CacheLevel::L2C, &mut obs), 0);
+        assert_eq!(m.wait_for_free(0, CacheLevel::L2C, &mut obs), 0);
         assert_eq!(obs.count(EventKind::MshrStall), 0);
         m.allocate(0, LineAddr(1), 100);
-        assert_eq!(m.wait_for_free_traced(40, CacheLevel::L2C, &mut obs), 60);
+        assert_eq!(m.wait_for_free(40, CacheLevel::L2C, &mut obs), 60);
         assert_eq!(obs.count(EventKind::MshrStall), 1);
     }
 

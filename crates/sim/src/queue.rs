@@ -57,8 +57,10 @@ impl PrefetchQueue {
         self.capacity - self.occupancy(now)
     }
 
-    /// Try to enqueue a request at `now`; returns `false` when full.
-    pub fn push(&mut self, now: u64) -> bool {
+    /// Try to enqueue a request at `now`; returns `false` when full. A
+    /// successful enqueue is reported (with the resulting occupancy) as
+    /// a [`TraceEvent::PqEnqueue`] at `level`.
+    pub fn push<T: Tracer>(&mut self, now: u64, level: CacheLevel, tracer: &mut T) -> bool {
         self.purge(now);
         if self.release.len() >= self.capacity {
             return false;
@@ -66,44 +68,36 @@ impl PrefetchQueue {
         let release = now + PQ_PROCESS_CYCLES;
         self.release.push(release);
         self.min_release = self.min_release.min(release);
+        tracer.emit(TraceEvent::PqEnqueue {
+            level,
+            cycle: now,
+            occupancy: self.release.len() as u32,
+        });
         true
-    }
-
-    /// [`PrefetchQueue::push`] that reports a successful enqueue (with
-    /// the resulting occupancy) as a [`TraceEvent::PqEnqueue`].
-    pub fn push_traced<T: Tracer>(&mut self, now: u64, level: CacheLevel, tracer: &mut T) -> bool {
-        let ok = self.push(now);
-        if ok {
-            tracer.emit(TraceEvent::PqEnqueue {
-                level,
-                cycle: now,
-                occupancy: self.release.len() as u32,
-            });
-        }
-        ok
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_obs::NullTracer;
 
     #[test]
     fn fills_then_rejects() {
         let mut q = PrefetchQueue::new(2);
-        assert!(q.push(0));
-        assert!(q.push(0));
-        assert!(!q.push(0));
+        assert!(q.push(0, CacheLevel::L1D, &mut NullTracer));
+        assert!(q.push(0, CacheLevel::L1D, &mut NullTracer));
+        assert!(!q.push(0, CacheLevel::L1D, &mut NullTracer));
         assert_eq!(q.free(0), 0);
     }
 
     #[test]
     fn drains_after_processing() {
         let mut q = PrefetchQueue::new(2);
-        q.push(0);
-        q.push(0);
+        q.push(0, CacheLevel::L1D, &mut NullTracer);
+        q.push(0, CacheLevel::L1D, &mut NullTracer);
         assert_eq!(q.free(PQ_PROCESS_CYCLES), 2);
-        assert!(q.push(PQ_PROCESS_CYCLES));
+        assert!(q.push(PQ_PROCESS_CYCLES, CacheLevel::L1D, &mut NullTracer));
     }
 
     #[test]
@@ -111,9 +105,9 @@ mod tests {
         use pmp_obs::{EventKind, ObsCollector, TraceEvent};
         let mut q = PrefetchQueue::new(2);
         let mut obs = ObsCollector::with_ring(4);
-        assert!(q.push_traced(0, CacheLevel::L1D, &mut obs));
-        assert!(q.push_traced(0, CacheLevel::L1D, &mut obs));
-        assert!(!q.push_traced(0, CacheLevel::L1D, &mut obs), "full queue rejects");
+        assert!(q.push(0, CacheLevel::L1D, &mut obs));
+        assert!(q.push(0, CacheLevel::L1D, &mut obs));
+        assert!(!q.push(0, CacheLevel::L1D, &mut obs), "full queue rejects");
         assert_eq!(obs.count(EventKind::PqEnqueue), 2, "rejections are not enqueues");
         let last = obs.ring().unwrap().iter().last().unwrap();
         assert_eq!(
@@ -126,12 +120,12 @@ mod tests {
     fn burst_is_bounded_but_trickle_is_not() {
         let mut q = PrefetchQueue::new(8);
         // A same-cycle burst of 12 admits only 8 ...
-        let admitted = (0..12).filter(|_| q.push(100)).count();
+        let admitted = (0..12).filter(|_| q.push(100, CacheLevel::L1D, &mut NullTracer)).count();
         assert_eq!(admitted, 8);
         // ... but a spread-out stream all fits.
         let mut t = 200;
         for _ in 0..32 {
-            assert!(q.push(t));
+            assert!(q.push(t, CacheLevel::L1D, &mut NullTracer));
             t += PQ_PROCESS_CYCLES;
         }
     }

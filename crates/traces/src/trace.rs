@@ -62,6 +62,21 @@ pub enum TraceScale {
 }
 
 impl TraceScale {
+    /// The command-line label of each scale, smallest first.
+    pub const LABELS: [&'static str; 4] = ["tiny", "small", "standard", "large"];
+
+    /// Parse a command-line label (one of [`TraceScale::LABELS`]);
+    /// `None` for anything else.
+    pub fn from_label(label: &str) -> Option<TraceScale> {
+        match label {
+            "tiny" => Some(TraceScale::Tiny),
+            "small" => Some(TraceScale::Small),
+            "standard" => Some(TraceScale::Standard),
+            "large" => Some(TraceScale::Large),
+            _ => None,
+        }
+    }
+
     /// Memory operations generated at this scale.
     pub fn mem_ops(self) -> usize {
         match self {
@@ -115,6 +130,19 @@ impl Trace {
 mod tests {
     use super::*;
     use pmp_types::{Addr, MemAccess, Pc};
+
+    #[test]
+    fn scale_labels_parse_and_typos_do_not() {
+        let parsed: Vec<_> = TraceScale::LABELS.iter().map(|l| TraceScale::from_label(l)).collect();
+        assert_eq!(
+            parsed,
+            [TraceScale::Tiny, TraceScale::Small, TraceScale::Standard, TraceScale::Large]
+                .map(Some)
+        );
+        for typo in ["smal", "lage", "Small", "STANDARD", " tiny", ""] {
+            assert_eq!(TraceScale::from_label(typo), None, "{typo:?}");
+        }
+    }
 
     #[test]
     fn suite_counts_match_table_vi() {
