@@ -26,11 +26,11 @@ pub enum MetricSet {
     /// `cells_per_sec`) — the perf-trajectory gate.
     #[default]
     Throughput,
-    /// Decision-quality fields from `pf_attrib.json` (`ipc`,
-    /// `accuracy`, `timeliness`, `coverage`), including per-origin
-    /// rows labelled by their `"origin"` field. Origins churn as the
-    /// prefetcher learns, so this set is meant for `--report-only`
-    /// visibility, not a hard gate.
+    /// Decision-quality fields from `pf_attrib.json`, written by
+    /// `obs_report` (`ipc`, `accuracy`, `timeliness`, `coverage`),
+    /// including per-origin rows labelled by their `"origin"` field.
+    /// Origins churn as the prefetcher learns, so this set is meant
+    /// for `--report-only` visibility, not a hard gate.
     Decision,
 }
 

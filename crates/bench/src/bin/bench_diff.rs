@@ -13,9 +13,10 @@
 //!
 //! `--metrics decision` compares decision-quality fields (`ipc`,
 //! `accuracy`, `timeliness`, `coverage` — aggregate and per-origin)
-//! from two `pf_attrib.json` documents instead of throughputs. Origin
-//! rows churn as prefetchers learn, so pair it with `--report-only`
-//! unless you want added/removed origins to gate.
+//! from two `pf_attrib.json` documents (the file `obs_report` writes
+//! under `results/obs/`) instead of throughputs. Origin rows churn as
+//! prefetchers learn, so pair it with `--report-only` unless you want
+//! added/removed origins to gate.
 //!
 //! Exit codes (stable, scripts key on them):
 //! * `0` — no regression (or `--report-only`, which always reports

@@ -1,15 +1,15 @@
 //! Per-trace prefetch diagnostics (development tool).
 use pmp_bench::prefetchers::PrefetcherKind;
 use pmp_bench::runner::{run_cell, CellSpec, RunConfig};
-use pmp_traces::{catalog, TraceScale};
+use pmp_bench::trace_or_exit;
+use pmp_traces::TraceScale;
 use pmp_types::CacheLevel;
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "ligra.bfs_2".into());
-    let all = catalog();
-    let spec = all.iter().find(|s| s.name == name).expect("trace name");
+    let spec = trace_or_exit("trace", &name);
     let cfg = RunConfig { scale: TraceScale::Small, ..RunConfig::default() };
-    let cell = CellSpec::Synthetic(spec.clone());
+    let cell = CellSpec::Synthetic(spec);
     let base = run_cell(&cell, &PrefetcherKind::None, &cfg).expect("baseline cell");
     println!("baseline ipc={:.3} mpki={:.1} dram={}", base.result.ipc(), base.result.stats.llc_mpki(), base.result.stats.dram_requests);
     for kind in [PrefetcherKind::DsPatch, PrefetcherKind::Bingo, PrefetcherKind::SppPpf, PrefetcherKind::Pythia, PrefetcherKind::Pmp] {

@@ -6,14 +6,13 @@
 //! dead-at-end vs late-useful. See ARCHITECTURE.md "Prefetch
 //! attribution".
 use pmp_bench::experiments::{headline, scale_from_env};
-use pmp_bench::{attrib, prefetchers::PrefetcherKind};
+use pmp_bench::{deep_dive, prefetchers::PrefetcherKind};
 
 fn main() {
     let scale = scale_from_env();
     let runs = headline::HeadlineRuns::execute(scale);
     println!("{}", headline::fig10(&runs));
     if std::env::args().any(|a| a == "--attrib") {
-        println!("-- attribution deep-dive (pmp, per-origin fates) --");
-        print!("{}", attrib::deep_dive_all(&PrefetcherKind::Pmp, scale, 8));
+        print!("{}", deep_dive::render_catalog(&PrefetcherKind::Pmp, scale, 8));
     }
 }

@@ -1,40 +1,44 @@
-//! End-to-end observability report: run PMP on one workload with full
-//! lifecycle tracing, interval sampling, and structural introspection,
-//! then render everything the `pmp-obs` crate can see.
+//! Observability report: run one cell once with every tracer attached
+//! (`pmp_bench::deep_dive`) and render what `pmp-obs` sees.
 //!
-//! Usage: `obs_report [trace-name] [scale]` — defaults to
-//! `spec06.stream_1` at the Standard scale. Reports go to stdout; the
-//! interval time-series CSV and JSON Lines are also written under
-//! `results/obs/`.
+//! Usage: `obs_report [trace-name] [scale] [kind] [top_k]`
+//!   defaults:  spec06.stream_1  standard  pmp  16
+//!
+//! Reports go to stdout and five artifacts under `results/obs/`. Exits
+//! 2 on a usage error, 1 when a write fails or the prefetch accounting
+//! does not conserve.
 
-use pmp_bench::{scale_or_exit, write_artifact};
-use pmp_core::{Pmp, PmpConfig};
-use pmp_sim::{EventKind, ObsCollector, System, SystemConfig};
+use pmp_bench::deep_dive;
+use pmp_bench::prefetchers::PrefetcherKind;
+use pmp_bench::{scale_or_exit, trace_or_exit, write_artifact};
+use pmp_sim::EventKind;
 use pmp_stats::report::interval_table;
 use pmp_stats::storage::interval_samples_to_json_lines;
 use pmp_stats::{sim_stats_to_json, Table};
-use pmp_traces::{catalog, TraceScale};
+use pmp_traces::TraceScale;
 use pmp_types::json::Json;
 
 fn main() {
-    let trace_name =
-        std::env::args().nth(1).unwrap_or_else(|| "spec06.stream_1".to_string());
-    let scale = scale_or_exit("scale", std::env::args().nth(2).as_deref(), TraceScale::Standard);
-    let spec = catalog()
-        .into_iter()
-        .find(|s| s.name == trace_name)
-        .unwrap_or_else(|| panic!("unknown trace {trace_name}; see pmp-traces catalog"));
-    let trace = spec.build(scale);
+    let arg = |i: usize| std::env::args().nth(i);
+    let spec = trace_or_exit("trace", arg(1).as_deref().unwrap_or("spec06.stream_1"));
+    let scale = scale_or_exit("scale", arg(2).as_deref(), TraceScale::Standard);
+    let label = arg(3).unwrap_or_else(|| "pmp".into());
+    let kind = PrefetcherKind::from_label(&label).unwrap_or_else(|| {
+        let labels: Vec<String> = PrefetcherKind::LABELLED.iter().map(|k| k.label()).collect();
+        eprintln!("kind: unknown prefetcher {label:?}; expected one of {}", labels.join(", "));
+        std::process::exit(2)
+    });
+    let top_k: usize = match arg(4) {
+        None => 16,
+        Some(s) => s.parse().unwrap_or_else(|_| {
+            eprintln!("top_k: expected a non-negative integer, got {s:?}");
+            std::process::exit(2)
+        }),
+    };
+    let dd = deep_dive::run(&spec, &kind, scale, top_k);
+    let (result, events) = (&dd.result, &dd.events);
 
-    let mut sys = System::with_tracer(
-        SystemConfig::default(),
-        Box::new(Pmp::new(PmpConfig::default())),
-        ObsCollector::with_ring(4096),
-    );
-    sys.enable_sampling(2_000);
-    let result = sys.run(&trace.ops, scale.warmup_instructions());
-
-    println!("== obs_report: pmp on {trace_name} ({scale:?}) ==\n");
+    println!("== obs_report: {} on {} ({scale:?}) ==\n", kind.label(), spec.name);
     println!(
         "ipc={:.3}  cycles={}  llc_mpki={:.2}\n",
         result.ipc(),
@@ -43,41 +47,41 @@ fn main() {
     );
 
     // --- 1. Prefetch-lifecycle summary.
-    let collector = sys.tracer();
     let mut lifecycle = Table::new(&["event", "count"]);
-    for kind in EventKind::ALL {
-        lifecycle.row_owned(vec![
-            kind.name().to_string(),
-            collector.count(kind).to_string(),
-        ]);
+    for (event, n) in events.counts() {
+        lifecycle.row_owned(vec![event.name().to_string(), n.to_string()]);
     }
     println!("-- lifecycle events --\n{}", lifecycle.render());
-    // Drop-pressure split: the aggregate pf_dropped counter (exported in
-    // stats.json) broken down by which admission resource refused the
-    // request. A PQ-dominated split means the issue burst outruns the
-    // queue; MSHR-dominated means the memory system is the bottleneck.
-    let dropped = collector.dropped_pq() + collector.dropped_mshr();
+    // Drop pressure: the share of the issue stream the memory system
+    // refused, by admission resource. A PQ-dominated split means the
+    // issue burst outruns the queue; MSHR-dominated means the memory
+    // system is the bottleneck.
+    let issued = events.count(EventKind::PrefetchIssued);
+    let redundant = events.count(EventKind::PrefetchRedundant);
+    let share = |n: u64| n as f64 * 100.0 / issued.max(1) as f64;
     println!(
-        "drop pressure: pq_full={}  mshr_full={}  ({:.1}% / {:.1}% of {} drops)",
-        collector.dropped_pq(),
-        collector.dropped_mshr(),
-        collector.dropped_pq() as f64 * 100.0 / dropped.max(1) as f64,
-        collector.dropped_mshr() as f64 * 100.0 / dropped.max(1) as f64,
-        dropped,
+        "drop pressure: pq_full={}  mshr_full={}  redundant={}  ({:.2}% / {:.2}% / {:.2}% of {issued} issued)",
+        events.dropped_pq(),
+        events.dropped_mshr(),
+        redundant,
+        share(events.dropped_pq()),
+        share(events.dropped_mshr()),
+        share(redundant),
     );
     println!(
         "late-useful prefetches: {}  (ring holds last {} of {} events)\n",
-        collector.late_useful(),
-        collector.ring().map(|r| r.len()).unwrap_or(0),
-        collector.ring().map(|r| r.total()).unwrap_or(0),
+        events.late_useful(),
+        dd.tail.len(),
+        dd.tail.total(),
     );
 
     // --- 2. Latency histograms (log2 buckets).
-    for (label, hist) in [
-        ("prefetch issue→fill", collector.pf_latency()),
-        ("demand-miss", collector.demand_latency()),
-        ("dram", collector.dram_latency()),
-    ] {
+    let histograms = [
+        ("prefetch issue→fill", "pf_issue_to_fill", events.pf_latency()),
+        ("demand-miss", "demand_miss", events.demand_latency()),
+        ("dram", "dram", events.dram_latency()),
+    ];
+    for (label, _, hist) in histograms {
         let mut t = Table::new(&["cycles", "count"]);
         for (lo, hi, n) in hist.nonzero() {
             t.row_owned(vec![format!("{lo}..{hi}"), n.to_string()]);
@@ -92,39 +96,44 @@ fn main() {
     }
 
     // --- 3. Interval time-series.
-    let samples = sys.samples().to_vec();
-    let series = interval_table(&samples);
-    println!("-- interval time-series ({} samples) --\n{}", samples.len(), series.render());
+    let series = interval_table(&dd.samples);
+    println!("-- interval time-series ({} samples) --\n{}", dd.samples.len(), series.render());
 
-    // --- 4. PMP structural introspection.
+    // --- 4. Structural introspection.
     let mut gauges = Table::new(&["gauge", "value"]);
-    for g in sys.prefetcher_gauges() {
+    for g in &dd.gauges {
         gauges.row_owned(vec![g.name.to_string(), format!("{:.4}", g.value)]);
     }
-    println!("-- pmp introspection --\n{}", gauges.render());
+    println!("-- {} introspection --\n{}", kind.label(), gauges.render());
 
-    // --- 5. Machine-readable exports.
+    // --- 5. Per-origin prefetch fates.
+    println!("-- prefetch fates (top {top_k} origins) --\n{}", dd.fate_text());
+
+    // --- 6. Machine-readable exports.
     let mut hist_lines = String::new();
-    for (label, hist) in [
-        ("pf_issue_to_fill", collector.pf_latency()),
-        ("demand_miss", collector.demand_latency()),
-        ("dram", collector.dram_latency()),
-    ] {
+    for (_, key, hist) in histograms {
         let buckets = hist.nonzero().into_iter().map(|(lo, hi, n)| {
             Json::object().with("lo", lo).with("hi", hi).with("count", n)
         });
         let line = Json::object()
-            .with("histogram", label)
+            .with("histogram", key)
             .with("count", hist.count())
             .with("mean", Json::fixed(hist.mean(), 3))
             .with("buckets", Json::Arr(buckets.collect()));
         hist_lines.push_str(&format!("{line}\n"));
     }
+    let attrib = Json::object()
+        .with("trace", spec.name.as_str())
+        .with("scale", format!("{scale:?}"))
+        .with("prefetcher", kind.label())
+        .with("ipc", Json::fixed(result.ipc(), 6))
+        .with("attribution", dd.fates.to_json());
     let artifacts = [
         ("results/obs/intervals.csv", series.to_csv()),
-        ("results/obs/intervals.jsonl", interval_samples_to_json_lines(&samples)),
+        ("results/obs/intervals.jsonl", interval_samples_to_json_lines(&dd.samples)),
         ("results/obs/stats.json", sim_stats_to_json(&result.stats).to_string()),
         ("results/obs/latency_histograms.jsonl", hist_lines),
+        ("results/obs/pf_attrib.json", attrib.pretty()),
     ];
     let mut failed = false;
     for (path, body) in &artifacts {
@@ -136,7 +145,11 @@ fn main() {
             }
         }
     }
-    if failed {
+    let violations = dd.conservation_violations();
+    for v in &violations {
+        eprintln!("prefetch accounting does not conserve: {v}");
+    }
+    if failed || !violations.is_empty() {
         std::process::exit(1);
     }
 }

@@ -7,7 +7,7 @@
 //! trace_tool info /tmp/mcf2.pmpt
 //! ```
 
-use pmp_bench::scale_or_exit;
+use pmp_bench::{scale_or_exit, trace_or_exit};
 use pmp_traces::io::{read_trace, write_trace};
 use pmp_traces::{catalog, TraceScale};
 use std::fs::File;
@@ -24,11 +24,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("export") if args.len() >= 3 => {
-            let name = &args[1];
-            let Some(spec) = catalog().into_iter().find(|s| &s.name == name) else {
-                eprintln!("unknown trace {name} (see `trace_tool list`)");
-                return ExitCode::FAILURE;
-            };
+            let spec = trace_or_exit("trace", &args[1]);
             let scale = scale_or_exit("scale", args.get(3).map(String::as_str), TraceScale::Small);
             let trace = spec.build(scale);
             let file = match File::create(&args[2]) {

@@ -106,14 +106,13 @@ pub fn fig4_icdd(scale: TraceScale) -> String {
 /// ASCII, plus the diagonal-band mass that quantifies the "slash"
 /// structure.
 pub fn fig5_heatmaps(scale: TraceScale) -> String {
-    let all = catalog();
     let geom = RegionGeometry::default();
     let mut out = String::new();
     for (trace_name, features) in [
         ("spec06.mcf_2", vec![Feature::TriggerOffset, Feature::PcAddress, Feature::Pc]),
         ("spec06.astar_0", vec![Feature::TriggerOffset]),
     ] {
-        let spec = all.iter().find(|s| s.name == trace_name).expect("catalog trace");
+        let spec = pmp_traces::trace_named(trace_name).expect("catalog trace");
         let pats = capture_patterns(&spec.build(scale));
         for f in features {
             let hm = HeatMap::new(&pats, f, geom);

@@ -24,8 +24,8 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod attrib;
 pub mod benchdiff;
+pub mod deep_dive;
 pub mod experiments;
 pub mod journal;
 pub mod microbench;
@@ -35,7 +35,7 @@ pub mod runner;
 pub mod telemetry;
 pub mod trace_pool;
 
-use pmp_traces::TraceScale;
+use pmp_traces::{TraceScale, TraceSpec};
 
 /// Write `body` to `path`, creating the parent directory first: how
 /// the bins land their `results/` artifacts.
@@ -65,3 +65,15 @@ pub fn scale_or_exit(source: &str, label: Option<&str>, default: TraceScale) -> 
         std::process::exit(2)
     })
 }
+
+/// Resolve a trace name from `source` (an argument name, for the
+/// message) to its catalog spec. An unknown name is a usage error: the
+/// message points at `trace_tool list` and the process exits with
+/// status 2.
+pub fn trace_or_exit(source: &str, name: &str) -> TraceSpec {
+    pmp_traces::trace_named(name).unwrap_or_else(|| {
+        eprintln!("{source}: unknown trace {name:?}; `trace_tool list` prints the catalog names");
+        std::process::exit(2)
+    })
+}
+

@@ -186,31 +186,39 @@ impl PrefetcherKind {
         }
     }
 
-    /// Parse a display label back into a kind (CLI convenience; the
-    /// parameterised kinds — custom configs, fault mocks — are not
-    /// addressable by label).
+    /// Every kind addressable by label, in registry order: all but the
+    /// parameterised ones (Design B, custom configs, fault mocks).
+    pub const LABELLED: [PrefetcherKind; 18] = [
+        PrefetcherKind::None,
+        PrefetcherKind::NextLine,
+        PrefetcherKind::Stride,
+        PrefetcherKind::Sms,
+        PrefetcherKind::Bop,
+        PrefetcherKind::Sandbox,
+        PrefetcherKind::Vldp,
+        PrefetcherKind::Ghb,
+        PrefetcherKind::Isb,
+        PrefetcherKind::DsPatch,
+        PrefetcherKind::Bingo,
+        PrefetcherKind::BingoAtLlc,
+        PrefetcherKind::SppPpf,
+        PrefetcherKind::Pythia,
+        PrefetcherKind::Pmp,
+        PrefetcherKind::PmpLimit,
+        PrefetcherKind::PmpXp,
+        PrefetcherKind::PmpAdaptive,
+    ];
+
+    /// Parse a display label (or one of the aliases `none`, `stride`,
+    /// `spp`) back into one of [`PrefetcherKind::LABELLED`].
     pub fn from_label(label: &str) -> Option<PrefetcherKind> {
-        Some(match label {
-            "baseline" | "none" => PrefetcherKind::None,
-            "next-line" => PrefetcherKind::NextLine,
-            "ip-stride" | "stride" => PrefetcherKind::Stride,
-            "sms" => PrefetcherKind::Sms,
-            "bop" => PrefetcherKind::Bop,
-            "sandbox" => PrefetcherKind::Sandbox,
-            "vldp" => PrefetcherKind::Vldp,
-            "ghb" => PrefetcherKind::Ghb,
-            "isb" => PrefetcherKind::Isb,
-            "dspatch" => PrefetcherKind::DsPatch,
-            "bingo" => PrefetcherKind::Bingo,
-            "bingo@llc" => PrefetcherKind::BingoAtLlc,
-            "spp-ppf" | "spp" => PrefetcherKind::SppPpf,
-            "pythia" => PrefetcherKind::Pythia,
-            "pmp" => PrefetcherKind::Pmp,
-            "pmp-limit" => PrefetcherKind::PmpLimit,
-            "pmp-xp" => PrefetcherKind::PmpXp,
-            "pmp-adaptive" => PrefetcherKind::PmpAdaptive,
-            _ => return None,
-        })
+        let label = match label {
+            "none" => "baseline",
+            "stride" => "ip-stride",
+            "spp" => "spp-ppf",
+            other => other,
+        };
+        Self::LABELLED.into_iter().find(|k| k.label() == label)
     }
 }
 
@@ -303,6 +311,21 @@ mod tests {
             p.on_access(&info, &mut out)
         }));
         assert!(boom.is_err(), "3rd access must panic");
+    }
+
+    #[test]
+    fn labels_round_trip_and_typos_do_not() {
+        for kind in PrefetcherKind::LABELLED {
+            let parsed = PrefetcherKind::from_label(&kind.label()).map(|k| k.label());
+            assert_eq!(parsed, Some(kind.label()));
+        }
+        for (alias, label) in [("none", "baseline"), ("stride", "ip-stride"), ("spp", "spp-ppf")] {
+            let parsed = PrefetcherKind::from_label(alias).map(|k| k.label());
+            assert_eq!(parsed.as_deref(), Some(label));
+        }
+        for typo in ["PMP", "spp_ppf", "design-b/8w", "pmp-custom", " pmp", ""] {
+            assert!(PrefetcherKind::from_label(typo).is_none(), "{typo:?}");
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! The standard event collector: per-kind counts, latency histograms,
-//! and an optional tail ring buffer, all behind one [`Tracer`] impl.
+//! The standard event collector: per-kind counts and latency
+//! histograms behind one [`Tracer`] impl. Pair it with a
+//! [`RingRecorder`](crate::RingRecorder) to keep the tail of the raw
+//! event stream as well.
 
 use crate::event::{DropReason, EventKind, TraceEvent, Tracer};
 use crate::hist::Log2Histogram;
-use crate::ring::RingRecorder;
 
 /// Aggregates a run's event stream into counters and histograms.
 #[derive(Debug, Clone, Default)]
@@ -15,18 +16,12 @@ pub struct ObsCollector {
     late_useful: u64,
     dropped_pq: u64,
     dropped_mshr: u64,
-    ring: Option<RingRecorder>,
 }
 
 impl ObsCollector {
-    /// A collector with no ring buffer.
+    /// An empty collector.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A collector that also retains the last `capacity` raw events.
-    pub fn with_ring(capacity: usize) -> Self {
-        ObsCollector { ring: Some(RingRecorder::new(capacity)), ..Self::default() }
     }
 
     /// Events seen of `kind`.
@@ -73,11 +68,6 @@ impl ObsCollector {
     pub fn dram_latency(&self) -> &Log2Histogram {
         &self.dram_latency
     }
-
-    /// The tail ring buffer, if one was requested.
-    pub fn ring(&self) -> Option<&RingRecorder> {
-        self.ring.as_ref()
-    }
 }
 
 impl Tracer for ObsCollector {
@@ -92,20 +82,18 @@ impl Tracer for ObsCollector {
             TraceEvent::PrefetchDropped { reason: DropReason::Mshr, .. } => self.dropped_mshr += 1,
             _ => {}
         }
-        if let Some(ring) = &mut self.ring {
-            ring.push(event);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::RingRecorder;
     use pmp_types::{CacheLevel, LineAddr, Provenance};
 
     #[test]
     fn counts_and_histograms_accumulate() {
-        let mut c = ObsCollector::with_ring(8);
+        let mut c = (ObsCollector::new(), RingRecorder::new(8));
         c.emit(TraceEvent::PrefetchIssued {
             line: LineAddr(1),
             level: CacheLevel::L1D,
@@ -126,6 +114,7 @@ mod tests {
             late: true,
         });
         c.emit(TraceEvent::DemandMiss { line: LineAddr(9), cycle: 50, latency: 205 });
+        let (c, ring) = &c;
         assert_eq!(c.count(EventKind::PrefetchIssued), 1);
         assert_eq!(c.count(EventKind::PrefetchAdmitted), 1);
         assert_eq!(c.count(EventKind::PrefetchDropped), 0);
@@ -133,7 +122,7 @@ mod tests {
         assert_eq!(c.pf_latency().count(), 1);
         assert_eq!(c.demand_latency().count(), 1);
         assert_eq!(c.total(), 4);
-        assert_eq!(c.ring().unwrap().total(), 4);
+        assert_eq!(ring.total(), 4);
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! on a `T: Tracer` type parameter, so with the zero-sized
 //! [`NullTracer`] the calls monomorphise to nothing — no branch, no
 //! allocation, no measurable cost.
+//!
+//! Tracers compose as pairs: `(A, B)` forwards every event to `A` and
+//! then to `B`, and nesting (`(A, (B, C))`) combines more, so one run
+//! can feed counters, a tail ring and the flight recorder at once.
 
 use pmp_types::{CacheLevel, LineAddr, Provenance};
 
@@ -305,6 +309,14 @@ impl<T: Tracer + ?Sized> Tracer for &mut T {
     }
 }
 
+impl<A: Tracer, B: Tracer> Tracer for (A, B) {
+    #[inline]
+    fn emit(&mut self, event: TraceEvent) {
+        self.0.emit(event);
+        self.1.emit(event);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,5 +358,26 @@ mod tests {
         let mut c = Count(0);
         forward(&mut c);
         assert_eq!(c.0, 1);
+    }
+
+    #[test]
+    fn pair_delivers_every_event_to_both_in_order() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        // Each member logs (member id, event cycle) into one shared
+        // log, so the interleaving shows delivery order.
+        struct Log(u8, Rc<RefCell<Vec<(u8, u64)>>>);
+        impl Tracer for Log {
+            fn emit(&mut self, e: TraceEvent) {
+                self.1.borrow_mut().push((self.0, e.cycle()));
+            }
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut t = (Log(0, log.clone()), (Log(1, log.clone()), Log(2, log.clone())));
+        for cycle in [3, 7] {
+            t.emit(TraceEvent::DramWriteback { line: LineAddr(cycle), cycle });
+        }
+        assert_eq!(*log.borrow(), [(0, 3), (1, 3), (2, 3), (0, 7), (1, 7), (2, 7)]);
+        assert_eq!(std::mem::size_of::<(NullTracer, NullTracer)>(), 0);
     }
 }

@@ -1,7 +1,8 @@
 //! # pmp-obs
 //!
 //! The observability substrate for the PMP reproduction: typed
-//! prefetch-lifecycle events with a zero-cost [`Tracer`] abstraction,
+//! prefetch-lifecycle events with a zero-cost [`Tracer`] abstraction
+//! (tracers compose as pairs, so one run feeds several),
 //! a ring-buffered recorder, fixed-bucket log2 latency histograms,
 //! per-interval time-series sampling, and structural introspection
 //! gauges. Depends only on `pmp-types`, so every layer of the stack —

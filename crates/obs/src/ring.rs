@@ -27,17 +27,6 @@ impl RingRecorder {
         RingRecorder { buf: Vec::with_capacity(capacity), capacity, next: 0, total: 0 }
     }
 
-    /// Append an event, overwriting the oldest once full.
-    pub fn push(&mut self, event: TraceEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(event);
-        } else {
-            self.buf[self.next] = event;
-        }
-        self.next = (self.next + 1) % self.capacity;
-        self.total += 1;
-    }
-
     /// Events currently retained (≤ capacity).
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -61,9 +50,16 @@ impl RingRecorder {
 }
 
 impl Tracer for RingRecorder {
+    /// Append an event, overwriting the oldest once full.
     #[inline]
     fn emit(&mut self, event: TraceEvent) {
-        self.push(event);
+        if self.buf.len() < self.capacity {
+            self.buf.push(event);
+        } else {
+            self.buf[self.next] = event;
+        }
+        self.next = (self.next + 1) % self.capacity;
+        self.total += 1;
     }
 }
 
@@ -81,7 +77,7 @@ mod tests {
         let mut r = RingRecorder::new(4);
         assert!(r.is_empty());
         for c in 0..3 {
-            r.push(ev(c));
+            r.emit(ev(c));
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.total(), 3);
@@ -93,7 +89,7 @@ mod tests {
     fn wraparound_keeps_newest_in_order() {
         let mut r = RingRecorder::new(4);
         for c in 0..10 {
-            r.push(ev(c));
+            r.emit(ev(c));
         }
         assert_eq!(r.len(), 4, "retains exactly capacity");
         assert_eq!(r.total(), 10, "total counts overwritten events");
@@ -105,11 +101,11 @@ mod tests {
     fn exact_capacity_boundary() {
         let mut r = RingRecorder::new(3);
         for c in 0..3 {
-            r.push(ev(c));
+            r.emit(ev(c));
         }
         let cycles: Vec<u64> = r.iter().map(|e| e.cycle()).collect();
         assert_eq!(cycles, vec![0, 1, 2]);
-        r.push(ev(3));
+        r.emit(ev(3));
         let cycles: Vec<u64> = r.iter().map(|e| e.cycle()).collect();
         assert_eq!(cycles, vec![1, 2, 3]);
     }

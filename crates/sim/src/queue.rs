@@ -102,14 +102,14 @@ mod tests {
 
     #[test]
     fn traced_push_reports_occupancy() {
-        use pmp_obs::{EventKind, ObsCollector, TraceEvent};
+        use pmp_obs::{EventKind, ObsCollector, RingRecorder, TraceEvent};
         let mut q = PrefetchQueue::new(2);
-        let mut obs = ObsCollector::with_ring(4);
+        let mut obs = (ObsCollector::new(), RingRecorder::new(4));
         assert!(q.push(0, CacheLevel::L1D, &mut obs));
         assert!(q.push(0, CacheLevel::L1D, &mut obs));
         assert!(!q.push(0, CacheLevel::L1D, &mut obs), "full queue rejects");
-        assert_eq!(obs.count(EventKind::PqEnqueue), 2, "rejections are not enqueues");
-        let last = obs.ring().unwrap().iter().last().unwrap();
+        assert_eq!(obs.0.count(EventKind::PqEnqueue), 2, "rejections are not enqueues");
+        let last = obs.1.iter().last().unwrap();
         assert_eq!(
             *last,
             TraceEvent::PqEnqueue { level: CacheLevel::L1D, cycle: 0, occupancy: 2 }

@@ -280,7 +280,7 @@ mod tests {
         let mut sys = System::with_tracer(
             SystemConfig::default(),
             Box::new(NextLine::new(4)),
-            ObsCollector::with_ring(4096),
+            ObsCollector::new(),
         );
         sys.run(&stream_ops(3000), 0);
         let c = sys.tracer();

@@ -61,6 +61,11 @@ fn spec(name: String, suite: Suite, archetype: Archetype, seed: u64) -> TraceSpe
     TraceSpec { name, suite, archetype, seed }
 }
 
+/// The catalog trace called `name` (exact, case-sensitive match).
+pub fn trace_named(name: &str) -> Option<TraceSpec> {
+    catalog().into_iter().find(|s| s.name == name)
+}
+
 /// The full 125-trace catalog: 38 SPEC06-like, 36 SPEC17-like, 42
 /// Ligra-like, 9 PARSEC-like (Table VI).
 pub fn catalog() -> Vec<TraceSpec> {
@@ -238,21 +243,25 @@ pub fn representative_subset() -> Vec<TraceSpec> {
         "parsec.stencil_2",
         "parsec.stencil_6",
     ];
-    let all = catalog();
     names
         .iter()
-        .map(|n| {
-            all.iter()
-                .find(|s| s.name == *n)
-                .unwrap_or_else(|| panic!("missing representative trace {n}"))
-                .clone()
-        })
+        .map(|n| trace_named(n).unwrap_or_else(|| panic!("missing representative trace {n}")))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trace_names_resolve_and_typos_do_not() {
+        for spec in catalog() {
+            assert_eq!(trace_named(&spec.name).map(|s| s.name), Some(spec.name));
+        }
+        for typo in ["spec06.stream", "SPEC06.stream_1", "spec06.stream_1 ", "stream_1", ""] {
+            assert!(trace_named(typo).is_none(), "{typo:?}");
+        }
+    }
 
     #[test]
     fn catalog_matches_table_vi() {

@@ -48,7 +48,7 @@ pub mod mix;
 pub mod trace;
 
 pub use cache::TraceCache;
-pub use catalog::{catalog, catalog_for, representative_subset, TraceSpec};
+pub use catalog::{catalog, catalog_for, representative_subset, trace_named, TraceSpec};
 pub use faults::{Fault, FaultyReader, FaultyWriter};
 pub use mix::{MixSpec, MpkiClass};
 pub use trace::{Suite, Trace, TraceScale};

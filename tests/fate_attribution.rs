@@ -10,7 +10,7 @@
 //! simulated bit relative to the `NullTracer` run.
 
 use pmp_bench::prefetchers::PrefetcherKind;
-use pmp_obs::{Fate, FlightRecorder};
+use pmp_obs::{Fate, FlightRecorder, ObsCollector, RingRecorder};
 use pmp_sim::{System, SystemConfig};
 use pmp_types::{Addr, MemAccess, Pc, Rng64, TraceOp};
 
@@ -44,28 +44,10 @@ fn random_trace(rng: &mut Rng64, n: usize) -> Vec<TraceOp> {
     ops
 }
 
+/// Every kind the registry names by label, plus Design B (which takes
+/// a parameter).
 fn all_kinds() -> Vec<PrefetcherKind> {
-    vec![
-        PrefetcherKind::None,
-        PrefetcherKind::NextLine,
-        PrefetcherKind::Stride,
-        PrefetcherKind::Sms,
-        PrefetcherKind::Bop,
-        PrefetcherKind::Sandbox,
-        PrefetcherKind::Vldp,
-        PrefetcherKind::Ghb,
-        PrefetcherKind::Isb,
-        PrefetcherKind::DsPatch,
-        PrefetcherKind::Bingo,
-        PrefetcherKind::BingoAtLlc,
-        PrefetcherKind::SppPpf,
-        PrefetcherKind::Pythia,
-        PrefetcherKind::Pmp,
-        PrefetcherKind::PmpLimit,
-        PrefetcherKind::PmpXp,
-        PrefetcherKind::PmpAdaptive,
-        PrefetcherKind::DesignB(8),
-    ]
+    PrefetcherKind::LABELLED.into_iter().chain([PrefetcherKind::DesignB(8)]).collect()
 }
 
 /// Run `kind` with the recorder attached and assert the partition law.
@@ -144,15 +126,21 @@ fn attribution_on_is_bit_identical_to_attribution_off() {
     let mut rng = Rng64::seed_from_u64(0xFA7E_0003);
     let ops = random_trace(&mut rng, 4000);
     let cfg = SystemConfig::single_core();
-    for kind in [PrefetcherKind::NextLine, PrefetcherKind::Bop, PrefetcherKind::Pmp] {
+    for kind in all_kinds() {
         // Off: the default NullTracer path every existing caller uses.
         let mut plain = System::new(cfg.clone(), kind.build());
         let a = plain.run(&ops, 0);
-        // On: full flight recorder.
+        // On: the flight recorder alone, then the deep-dive's nested
+        // triple of composed tracers.
         let mut traced = System::with_tracer(cfg.clone(), kind.build(), FlightRecorder::new());
         let b = traced.run(&ops, 0);
-        // The golden guarantee: the recorder watches, never steers.
-        assert_eq!(a.cycles, b.cycles, "{}", kind.label());
-        assert_eq!(a.stats, b.stats, "{}: SimStats must be bit-identical", kind.label());
+        let triple = (ObsCollector::new(), (RingRecorder::new(64), FlightRecorder::new()));
+        let mut composed = System::with_tracer(cfg.clone(), kind.build(), triple);
+        let c = composed.run(&ops, 0);
+        // The golden guarantee: tracers watch, never steer.
+        for (what, on) in [("FlightRecorder", &b), ("composed triple", &c)] {
+            assert_eq!(a.cycles, on.cycles, "{} under {what}", kind.label());
+            assert_eq!(a.stats, on.stats, "{}: SimStats differ under {what}", kind.label());
+        }
     }
 }
