@@ -26,9 +26,9 @@
 //! on it.
 //!
 //! The whole baseline + paper-five product runs as ONE grid through
-//! `run_grid`'s worker pool in grid order: no per-kind barrier, and
+//! `run_grid`'s worker pool, trace-major: no per-kind barrier, and
 //! the shared trace cache generates each of the 125 traces once
-//! instead of once per prefetcher.
+//! instead of once per prefetcher and frees it after its last cell.
 use pmp_bench::prefetchers::PrefetcherKind;
 use pmp_bench::progress::{ProgressMode, ProgressReporter};
 use pmp_bench::runner::{geo_mean, run_cell, run_grid, CellSpec, RunConfig, RunOutcome};

@@ -221,6 +221,16 @@ impl CellSpec {
         }
     }
 
+    /// The synthetic recipes the cell loads, one per core (a spec a
+    /// mix runs twice appears twice); none for a file.
+    fn synthetic_specs(&self) -> &[TraceSpec] {
+        match self {
+            CellSpec::Synthetic(spec) => std::slice::from_ref(spec),
+            CellSpec::File(_) => &[],
+            CellSpec::Mix(mix) => &mix.specs,
+        }
+    }
+
     /// The cell's traces, one per core, through the grid's shared cache
     /// when one is in play. An unreadable or corrupt file maps to
     /// [`HarnessError::TraceIo`]; generator panics propagate to the
@@ -235,7 +245,6 @@ impl CellSpec {
             None => Arc::new(spec.build(scale)),
         };
         match self {
-            CellSpec::Synthetic(spec) => Ok(vec![synthetic(spec)]),
             CellSpec::File(path) => {
                 let trace = match cache {
                     Some(cache) => cache.get_file(path),
@@ -243,7 +252,7 @@ impl CellSpec {
                 };
                 trace.map(|t| vec![t]).map_err(|e| HarnessError::trace_io(self.name(), e))
             }
-            CellSpec::Mix(mix) => Ok(mix.specs.iter().map(synthetic).collect()),
+            _ => Ok(self.synthetic_specs().iter().map(synthetic).collect()),
         }
     }
 }
@@ -517,12 +526,18 @@ pub fn run_specs_grid(
 /// Run a mixed grid of cells under several prefetchers, collecting
 /// every outcome and failure into a [`SweepSummary`].
 ///
-/// The `cells × kinds` grid runs through one [`parallel_map`] pool in
-/// grid order — kind-major, `kind_idx * cells.len() + cell_idx` — with
-/// no per-kind barrier and a per-grid [`TraceCache`] (or the installed
-/// [`crate::trace_pool`]), so each distinct trace is generated or
-/// decoded once. Outcomes come back in the same order, and `resumed`
-/// is this grid's journal-hit delta, not the process-lifetime total.
+/// The `cells × kinds` grid runs through one [`parallel_map`] pool
+/// trace-major — `cell_idx * kinds.len() + kind_idx`, every kind of one
+/// cell back to back — with no per-kind barrier, and returns kind-major
+/// (`kind_idx * cells.len() + cell_idx`), the order every caller reads.
+/// Each distinct trace is generated or decoded once, through a per-grid
+/// [`TraceCache`] or the installed [`crate::trace_pool`]. The per-grid
+/// cache is told every cell's synthetic traces up front and gets each
+/// use back as its cell finishes (ran, resumed, rejected or panicked),
+/// so it frees a trace after the trace's last cell: the grid holds
+/// about one trace per worker, not all of them. The installed pool
+/// keeps its traces for later grids. `resumed` is this grid's
+/// journal-hit delta, not the process-lifetime total.
 pub fn run_grid(
     cells: &[CellSpec],
     kinds: &[PrefetcherKind],
@@ -530,14 +545,39 @@ pub fn run_grid(
 ) -> (Vec<RunOutcome>, SweepSummary) {
     telemetry::expect_cells(cells.len() * kinds.len());
     let hits_before = journal::global_hits();
-    let (cache, trace_builds_before, trace_hits_before) = crate::trace_pool::grid_cache();
-    let grid: Vec<usize> = (0..cells.len() * kinds.len()).collect();
+    let pool = crate::trace_pool::global();
+    let (cache, trace_builds_before, trace_hits_before) = match &pool {
+        Some(pool) => (Arc::clone(pool), pool.builds(), pool.hits()),
+        None => (Arc::new(TraceCache::new()), 0, 0),
+    };
+    let planned = pool.is_none();
+    if planned {
+        for spec in cells.iter().flat_map(CellSpec::synthetic_specs) {
+            cache.plan(spec, cfg.scale, kinds.len());
+        }
+    }
+    let width = kinds.len();
+    let grid: Vec<usize> = (0..cells.len() * width).collect();
     let results = parallel_map(&grid, |&i| {
-        run_cell_cached(&cells[i % cells.len()], &kinds[i / cells.len()], cfg, Some(&cache))
+        let cell = &cells[i / width];
+        let result = run_cell_cached(cell, &kinds[i % width], cfg, Some(&cache));
+        if planned {
+            for spec in cell.synthetic_specs() {
+                cache.release(spec, cfg.scale);
+            }
+        }
+        result
     });
+    debug_assert!(!planned || cache.retained_bytes() == 0, "every planned use was released");
+    let mut kind_major: Vec<(usize, CellResult)> = results
+        .into_iter()
+        .enumerate()
+        .map(|(i, result)| ((i % width) * cells.len() + i / width, result))
+        .collect();
+    kind_major.sort_unstable_by_key(|&(slot, _)| slot);
     let mut outcomes = Vec::new();
     let mut summary = SweepSummary::default();
-    for result in results {
+    for (_, result) in kind_major {
         match result {
             Ok(outcome) => outcomes.push(outcome),
             Err(failure) => summary.failures.push(failure),
@@ -547,6 +587,7 @@ pub fn run_grid(
     summary.resumed = journal::global_hits().saturating_sub(hits_before);
     summary.trace_builds = cache.builds().saturating_sub(trace_builds_before);
     summary.trace_cache_hits = cache.hits().saturating_sub(trace_hits_before);
+    summary.trace_peak_bytes = cache.peak_bytes();
     (outcomes, summary)
 }
 
@@ -559,13 +600,16 @@ pub struct SweepSummary {
     /// Cells served from the journal instead of re-simulated, within
     /// this sweep (a per-grid delta, not the process-lifetime total).
     pub resumed: u64,
-    /// Isolated cell failures, in grid order.
+    /// Isolated cell failures, in kind-major grid order.
     pub failures: Vec<CellFailure>,
     /// Distinct traces generated/decoded for this grid.
     pub trace_builds: usize,
     /// Trace requests served from the grid's shared cache instead of
     /// rebuilt.
     pub trace_cache_hits: usize,
+    /// High-water mark of synthetic-trace bytes the grid's cache held
+    /// at once (with the installed trace pool, the pool's mark so far).
+    pub trace_peak_bytes: usize,
 }
 
 impl SweepSummary {
@@ -581,8 +625,10 @@ impl SweepSummary {
         if self.trace_builds + self.trace_cache_hits > 0 {
             let _ = writeln!(
                 out,
-                "  traces: {} built, {} served from cache",
-                self.trace_builds, self.trace_cache_hits
+                "  traces: {} built, {} served from cache, peak {:.1} MiB retained",
+                self.trace_builds,
+                self.trace_cache_hits,
+                self.trace_peak_bytes as f64 / (1024.0 * 1024.0)
             );
         }
         for failure in &self.failures {
@@ -601,7 +647,7 @@ impl SweepSummary {
 /// crate's one worker pool.
 ///
 /// Workers pull items off a shared cursor in slice order, so items
-/// start in the order given ([`run_grid`] passes grid order). Results
+/// start in the order given ([`run_grid`] passes trace-major order). Results
 /// travel over a channel instead of per-slot mutexes, so a panicking
 /// worker cannot poison anything: completed items are unaffected and
 /// the worker's own panic resurfaces (unchanged) once the scope joins.

@@ -58,20 +58,6 @@ pub fn global() -> Option<Arc<TraceCache>> {
     slot().lock().expect("trace pool lock").clone()
 }
 
-/// The cache a grid should run against: the installed pool, or a fresh
-/// per-grid cache. Also returns the pool's pre-grid (builds, hits)
-/// counters so callers can report per-grid deltas.
-pub(crate) fn grid_cache() -> (Arc<TraceCache>, usize, usize) {
-    match global() {
-        Some(pool) => {
-            let builds = pool.builds();
-            let hits = pool.hits();
-            (pool, builds, hits)
-        }
-        None => (Arc::new(TraceCache::new()), 0, 0),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

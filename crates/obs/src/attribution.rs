@@ -193,7 +193,6 @@ pub struct FlightRecorder {
     issued: u64,
     useful_distance: Log2Histogram,
     late_distance: Log2Histogram,
-    max_origins: usize,
     finalized: bool,
 }
 
@@ -204,14 +203,9 @@ impl Default for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder with the default origin-cardinality cap.
+    /// A recorder tracking at most [`DEFAULT_MAX_ORIGINS`] distinct
+    /// origins exactly (the rest share one overflow bucket).
     pub fn new() -> Self {
-        Self::with_max_origins(DEFAULT_MAX_ORIGINS)
-    }
-
-    /// A recorder tracking at most `max_origins` distinct origins
-    /// exactly (the rest share one overflow bucket).
-    pub fn with_max_origins(max_origins: usize) -> Self {
         FlightRecorder {
             inflight: HashMap::new(),
             origins: HashMap::new(),
@@ -221,7 +215,6 @@ impl FlightRecorder {
             issued: 0,
             useful_distance: Log2Histogram::new(),
             late_distance: Log2Histogram::new(),
-            max_origins: max_origins.max(1),
             finalized: false,
         }
     }
@@ -259,7 +252,8 @@ impl FlightRecorder {
             _ => {}
         }
         let key = Self::canonical(origin);
-        let stats = if self.origins.contains_key(&key) || self.origins.len() < self.max_origins {
+        let tracked = self.origins.contains_key(&key) || self.origins.len() < DEFAULT_MAX_ORIGINS;
+        let stats = if tracked {
             self.origins.entry(key).or_default()
         } else {
             self.overflow_events += 1;
@@ -301,31 +295,6 @@ impl FlightRecorder {
     /// Requests admitted but not yet resolved to a fate.
     pub fn inflight_len(&self) -> usize {
         self.inflight.len()
-    }
-
-    /// Distinct origins tracked exactly (excluding the overflow bucket).
-    pub fn origin_count(&self) -> usize {
-        self.origins.len()
-    }
-
-    /// Fate events that landed in the overflow bucket.
-    pub fn overflow_events(&self) -> u64 {
-        self.overflow_events
-    }
-
-    /// Issue→use distances of on-time useful prefetches.
-    pub fn useful_distance(&self) -> &Log2Histogram {
-        &self.useful_distance
-    }
-
-    /// Issue→use distances of late useful prefetches.
-    pub fn late_distance(&self) -> &Log2Histogram {
-        &self.late_distance
-    }
-
-    /// Stats for one (canonicalized) origin, if tracked.
-    pub fn origin_stats(&self, origin: Origin) -> Option<&OriginStats> {
-        self.origins.get(&Self::canonical(origin))
     }
 
     /// Build a sorted report of the `top_k` origins by attributed
@@ -591,6 +560,12 @@ mod tests {
         });
     }
 
+    /// The report row of `origin` (canonicalized), if it made the top-k.
+    fn origin_row(rep: &AttributionReport, origin: Origin) -> Option<OriginStats> {
+        let key = FlightRecorder::canonical(origin);
+        rep.rows.iter().find(|(o, _)| *o == key).map(|&(_, s)| s)
+    }
+
     #[test]
     fn fates_partition_issued() {
         let mut r = FlightRecorder::new();
@@ -653,7 +628,8 @@ mod tests {
         for f in Fate::ALL {
             assert_eq!(r.total(f), 1, "{}", f.tag());
         }
-        let st = r.origin_stats(o).expect("origin tracked");
+        let rep = r.report(8);
+        let st = origin_row(&rep, o).expect("origin tracked");
         assert_eq!(st.issued(), 7);
         assert_eq!(st.accuracy(), Some(0.5)); // 2 used / 4 landed
         assert_eq!(st.timeliness(), Some(0.5)); // 1 on-time / 2 used
@@ -661,8 +637,8 @@ mod tests {
         // distances: useful 150-10=140, late 60-10=50
         assert_eq!(st.distance_sum, 190);
         assert_eq!(st.distance_count, 2);
-        assert_eq!(r.useful_distance().count(), 1);
-        assert_eq!(r.late_distance().count(), 1);
+        assert_eq!(rep.useful_distance.count(), 1);
+        assert_eq!(rep.late_distance.count(), 1);
     }
 
     #[test]
@@ -719,8 +695,9 @@ mod tests {
 
     #[test]
     fn origin_cap_routes_to_overflow_but_conserves() {
-        let mut r = FlightRecorder::with_max_origins(2);
-        for i in 0..5 {
+        let mut r = FlightRecorder::new();
+        let n = DEFAULT_MAX_ORIGINS + 3;
+        for i in 0..n as u64 {
             let o = Origin::Spp { signature: i as u16, depth: 0 };
             issue(&mut r, i, o);
             r.emit(TraceEvent::PrefetchRedundant {
@@ -731,13 +708,13 @@ mod tests {
             });
         }
         r.finalize();
-        assert_eq!(r.origin_count(), 2);
-        assert_eq!(r.overflow_events(), 3);
-        assert_eq!(r.total(Fate::Redundant), 5);
+        let rep = r.report(n);
+        assert_eq!(rep.total_origins, DEFAULT_MAX_ORIGINS);
+        assert_eq!(rep.overflow_events, 3);
+        assert_eq!(r.total(Fate::Redundant), n as u64);
         assert_eq!(r.issued(), r.total_fates());
-        let rep = r.report(10);
         let tracked: u64 = rep.rows.iter().map(|(_, s)| s.issued()).sum();
-        assert_eq!(tracked + rep.overflow.issued(), 5);
+        assert_eq!(tracked + rep.overflow.issued(), n as u64);
     }
 
     #[test]
@@ -773,15 +750,21 @@ mod tests {
             provenance: Provenance::of(other_entry),
         });
         r.finalize();
-        assert_eq!(r.origin_count(), 2, "same entry+generation bucket collapses; distinct entry does not");
-        let st = r
-            .origin_stats(Origin::Pmp {
+        let rep = r.report(8);
+        assert_eq!(
+            rep.total_origins, 2,
+            "same entry+generation bucket collapses; distinct entry does not"
+        );
+        let st = origin_row(
+            &rep,
+            Origin::Pmp {
                 table: PmpTable::Opt,
                 entry: 37,
                 trigger_offset: 5,
                 generation: 11, // any value in the same bucket resolves
-            })
-            .expect("bucketed origin tracked");
+            },
+        )
+        .expect("bucketed origin tracked");
         assert_eq!(st.issued(), 4);
     }
 

@@ -302,13 +302,6 @@ impl Tracer for NullTracer {
     fn emit(&mut self, _event: TraceEvent) {}
 }
 
-impl<T: Tracer + ?Sized> Tracer for &mut T {
-    #[inline]
-    fn emit(&mut self, event: TraceEvent) {
-        (**self).emit(event);
-    }
-}
-
 impl<A: Tracer, B: Tracer> Tracer for (A, B) {
     #[inline]
     fn emit(&mut self, event: TraceEvent) {
@@ -342,22 +335,6 @@ mod tests {
         assert_eq!(std::mem::size_of::<NullTracer>(), 0);
         let mut t = NullTracer;
         t.emit(TraceEvent::DramWriteback { line: LineAddr(0), cycle: 0 });
-    }
-
-    #[test]
-    fn mut_ref_forwards() {
-        struct Count(u64);
-        impl Tracer for Count {
-            fn emit(&mut self, _e: TraceEvent) {
-                self.0 += 1;
-            }
-        }
-        fn forward<T: Tracer>(mut t: T) {
-            t.emit(TraceEvent::DramWriteback { line: LineAddr(0), cycle: 0 });
-        }
-        let mut c = Count(0);
-        forward(&mut c);
-        assert_eq!(c.0, 1);
     }
 
     #[test]

@@ -31,12 +31,24 @@
 //!
 //! A cache is scoped to one grid: the runner constructs it at the top
 //! of `run_grid`, every worker shares it by reference, and it drops
-//! with the grid — so peak memory is bounded by the distinct traces of
-//! a single grid (at paper scale, 125 Small traces ≈ tens of MiB), not
-//! by the lifetime of a multi-grid process. Callers wanting reuse
-//! across grids can hold the cache themselves.
+//! with the grid. Within the grid it holds a trace only while some cell
+//! still needs it: the runner announces each synthetic spec's uses up
+//! front ([`TraceCache::plan`]) and gives one back after every cell
+//! that loads it ([`TraceCache::release`]), whatever the cell's outcome.
+//! The release that brings a key's count to zero drops the cache's
+//! [`Arc`]; cells still running keep their own clones. Release comes
+//! only after a use has finished, so a planned trace is still built
+//! exactly once. With the grid run trace-major (all kinds of one trace
+//! back to back), peak memory is about one trace per worker rather than
+//! every distinct trace of the grid. Keys never planned are retained
+//! for the cache's lifetime: that is how a caller holding the cache
+//! itself (the runner's cross-grid trace pool) reuses traces.
 //!
-//! For grids whose distinct traces do not fit in memory, an explicit
+//! [`TraceCache::retained_bytes`] and its high-water mark
+//! [`TraceCache::peak_bytes`] are counters moved on every build,
+//! release and eviction, not sums over the map.
+//!
+//! For caches kept across grids, which no plan empties, an explicit
 //! byte cap bounds the synthetic side: [`TraceCache::with_byte_cap`]
 //! (or the `PMP_TRACE_CACHE_BYTES` environment variable, read by
 //! [`TraceCache::new`]) sets an approximate limit, and crossing it
@@ -60,6 +72,10 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 struct SynthEntry {
     slot: Arc<OnceLock<Arc<Trace>>>,
     last_used: u64,
+    /// Uses announced by [`TraceCache::plan`] and not yet released; the
+    /// entry drops when a release brings it to zero. Zero for a key
+    /// never planned, which is retained.
+    planned: usize,
 }
 
 /// Approximate heap footprint of a materialised trace: the ops vector
@@ -90,6 +106,10 @@ pub struct TraceCache {
     builds: AtomicUsize,
     /// Synthetic entries evicted to stay under the byte cap.
     evictions: AtomicUsize,
+    /// Bytes of materialised synthetic traces the map holds.
+    retained: AtomicUsize,
+    /// High-water mark of `retained`.
+    peak: AtomicUsize,
     /// Monotonic recency clock for LRU ordering.
     clock: AtomicU64,
     /// Approximate byte cap on materialised synthetic traces; `None`
@@ -105,6 +125,8 @@ impl Default for TraceCache {
             requests: AtomicUsize::new(0),
             builds: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
+            retained: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
             clock: AtomicU64::new(0),
             cap_bytes: parse_cap(std::env::var("PMP_TRACE_CACHE_BYTES").ok().as_deref()),
         }
@@ -125,9 +147,51 @@ impl TraceCache {
         TraceCache { cap_bytes: (cap_bytes > 0).then_some(cap_bytes), ..TraceCache::default() }
     }
 
+    /// The map key of `spec` at `scale`: the full parameterisation.
+    fn synth_key(spec: &TraceSpec, scale: TraceScale) -> String {
+        format!("{spec:?}|{scale:?}")
+    }
+
+    /// Announce `uses` more requests for `spec` at `scale`, each to be
+    /// given back with [`TraceCache::release`] once it has finished.
+    /// Counts add up, so a spec planned twice needs both sets released.
+    pub fn plan(&self, spec: &TraceSpec, scale: TraceScale, uses: usize) {
+        let mut map = self.synth.lock().unwrap_or_else(PoisonError::into_inner);
+        map.entry(Self::synth_key(spec, scale)).or_default().planned += uses;
+    }
+
+    /// Give back one planned use of `spec` at `scale`, whether or not
+    /// it requested the trace. The last release drops the cache's
+    /// [`Arc`] (callers' clones live on); releasing a key that was never
+    /// planned does nothing. Release a use only after its request has
+    /// returned, or the trace may be built again.
+    pub fn release(&self, spec: &TraceSpec, scale: TraceScale) {
+        let key = Self::synth_key(spec, scale);
+        let mut map = self.synth.lock().unwrap_or_else(PoisonError::into_inner);
+        let Some(entry) = map.get_mut(&key) else { return };
+        if entry.planned == 0 {
+            return;
+        }
+        entry.planned -= 1;
+        if entry.planned == 0 {
+            if let Some(entry) = map.remove(&key) {
+                self.forget(&entry.slot);
+            }
+        }
+    }
+
+    /// Take a dropped slot's trace, if it was built, off the retained
+    /// count.
+    fn forget(&self, slot: &OnceLock<Arc<Trace>>) {
+        if let Some(trace) = slot.get() {
+            self.retained.fetch_sub(trace_bytes(trace), Ordering::Relaxed);
+        }
+    }
+
     /// The materialised trace for `spec` at `scale`, building it on
-    /// first request and sharing the same [`Arc`] thereafter (until the
-    /// byte cap, when set, evicts it — a later request rebuilds).
+    /// first request and sharing the same [`Arc`] thereafter (until its
+    /// last planned use is released, or the byte cap, when set, evicts
+    /// it — a later request rebuilds).
     ///
     /// # Panics
     ///
@@ -135,7 +199,7 @@ impl TraceCache {
     /// uninitialised, so a later request retries).
     pub fn get_synthetic(&self, spec: &TraceSpec, scale: TraceScale) -> Arc<Trace> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let key = format!("{spec:?}|{scale:?}");
+        let key = Self::synth_key(spec, scale);
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let slot = {
             let mut map = self.synth.lock().unwrap_or_else(PoisonError::into_inner);
@@ -146,7 +210,13 @@ impl TraceCache {
         let trace = slot
             .get_or_init(|| {
                 self.builds.fetch_add(1, Ordering::Relaxed);
-                Arc::new(spec.build(scale))
+                let trace = Arc::new(spec.build(scale));
+                // Counted before the slot is visible as built, so a
+                // removal that sees it built always has bytes to take.
+                let bytes = trace_bytes(&trace);
+                let now = self.retained.fetch_add(bytes, Ordering::Relaxed) + bytes;
+                self.peak.fetch_max(now, Ordering::Relaxed);
+                trace
             })
             .clone();
         if self.cap_bytes.is_some() {
@@ -159,33 +229,29 @@ impl TraceCache {
     /// synthetic side fits the cap again. The entry just served
     /// (`keep`) and in-flight builds (uninitialised slots) are never
     /// evicted, so a single oversized trace still works — the cap is a
-    /// bound on *retained* memory, not a hard admission limit.
+    /// bound on *retained* memory, not a hard admission limit. A
+    /// planned entry keeps its count and only loses its trace.
     fn enforce_cap(&self, keep: &str) {
         let Some(cap) = self.cap_bytes else { return };
         let mut map = self.synth.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            let total: usize =
-                map.values().filter_map(|e| e.slot.get()).map(|t| trace_bytes(t)).sum();
-            if total <= cap {
-                return;
-            }
+        while self.retained.load(Ordering::Relaxed) > cap {
             let victim = map
-                .iter()
+                .iter_mut()
                 .filter(|(k, e)| k.as_str() != keep && e.slot.get().is_some())
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    // Dropping the map's Arc only releases the cache's
-                    // reference: cells still running on this trace keep
-                    // it alive until they finish.
-                    map.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                // Only `keep` and in-flight builds remain: nothing
-                // evictable, accept exceeding the cap transiently.
-                None => return,
+                .min_by_key(|(_, e)| e.last_used);
+            // Only `keep` and in-flight builds remain: nothing
+            // evictable, accept exceeding the cap transiently.
+            let Some((key, entry)) = victim else { return };
+            // Dropping the map's Arc only releases the cache's
+            // reference: cells still running on this trace keep it
+            // alive until they finish.
+            let slot = std::mem::take(&mut entry.slot);
+            if entry.planned == 0 {
+                let key = key.clone();
+                map.remove(&key);
             }
+            self.forget(&slot);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -242,13 +308,13 @@ impl TraceCache {
     /// Approximate bytes of materialised synthetic traces currently
     /// retained.
     pub fn retained_bytes(&self) -> usize {
-        self.synth
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .filter_map(|e| e.slot.get())
-            .map(|t| trace_bytes(t))
-            .sum()
+        self.retained.load(Ordering::Relaxed)
+    }
+
+    /// High-water mark of [`TraceCache::retained_bytes`] over the
+    /// cache's lifetime.
+    pub fn peak_bytes(&self) -> usize {
+        self.peak.load(Ordering::Relaxed)
     }
 }
 
@@ -308,17 +374,7 @@ mod tests {
     #[test]
     fn panicking_generator_is_retried_not_poisoned() {
         let cache = TraceCache::new();
-        let mut bad = catalog()[0].clone();
-        // A graph with fewer than 1024 vertices trips the generator's
-        // own assert at build time (unlike most invalid recipes, which
-        // only pre-flight validation rejects).
-        bad.archetype = crate::archetypes::Archetype::Graph(crate::archetypes::GraphGen {
-            vertices: 10,
-            avg_degree: 1,
-            neighbor_prob: 0.1,
-            gap_mean: 20,
-            store_fraction: 0.1,
-        });
+        let bad = panicking_spec();
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.get_synthetic(&bad, TraceScale::Tiny)
         }));
@@ -332,6 +388,79 @@ mod tests {
             cache.get_synthetic(&bad, TraceScale::Tiny)
         }));
         assert!(retry.is_err());
+    }
+
+    /// A recipe whose generator panics at build time: a graph with
+    /// fewer than 1024 vertices trips the generator's own assert
+    /// (unlike most invalid recipes, which only pre-flight validation
+    /// rejects).
+    fn panicking_spec() -> TraceSpec {
+        let mut bad = catalog()[0].clone();
+        bad.archetype = crate::archetypes::Archetype::Graph(crate::archetypes::GraphGen {
+            vertices: 10,
+            avg_degree: 1,
+            neighbor_prob: 0.1,
+            gap_mean: 20,
+            store_fraction: 0.1,
+        });
+        bad
+    }
+
+    #[test]
+    fn release_drops_planned_key_on_last_use_and_caller_arc_outlives_it() {
+        let cache = TraceCache::new();
+        let spec = &catalog()[0];
+        cache.plan(spec, TraceScale::Tiny, 2);
+        let a = cache.get_synthetic(spec, TraceScale::Tiny);
+        let bytes = trace_bytes(&a);
+        assert_eq!(cache.retained_bytes(), bytes);
+        cache.release(spec, TraceScale::Tiny);
+        assert_eq!(cache.retained_bytes(), bytes, "one planned use is still open");
+        let b = cache.get_synthetic(spec, TraceScale::Tiny);
+        assert!(Arc::ptr_eq(&a, &b), "the second use shares the first build");
+        assert_eq!(cache.builds(), 1);
+        cache.release(spec, TraceScale::Tiny);
+        assert_eq!(cache.retained_bytes(), 0, "the last release drops the cache's Arc");
+        assert!(cache.synth.lock().expect("map lock").is_empty(), "no count is left behind");
+        assert_eq!(cache.peak_bytes(), bytes);
+        assert_eq!(Arc::strong_count(&a), 2, "only the callers' clones remain");
+        assert_eq!(a.ops, spec.build(TraceScale::Tiny).ops, "the caller's trace outlives the drop");
+    }
+
+    #[test]
+    fn release_leaves_unplanned_keys_retained() {
+        let cache = TraceCache::new();
+        let (planned, unplanned) = (&catalog()[0], &catalog()[1]);
+        cache.plan(planned, TraceScale::Tiny, 1);
+        let _p = cache.get_synthetic(planned, TraceScale::Tiny);
+        let u = cache.get_synthetic(unplanned, TraceScale::Tiny);
+        let both = cache.retained_bytes();
+        cache.release(planned, TraceScale::Tiny);
+        cache.release(unplanned, TraceScale::Tiny);
+        cache.release(unplanned, TraceScale::Tiny);
+        assert_eq!(cache.retained_bytes(), trace_bytes(&u), "only the planned key dropped");
+        assert_eq!(cache.peak_bytes(), both);
+        let again = cache.get_synthetic(unplanned, TraceScale::Tiny);
+        assert!(Arc::ptr_eq(&u, &again), "an unplanned key is shared as before");
+        assert_eq!(cache.builds(), 2);
+    }
+
+    #[test]
+    fn release_after_panicking_generator_retries_and_does_not_leak() {
+        let cache = TraceCache::new();
+        let bad = panicking_spec();
+        cache.plan(&bad, TraceScale::Tiny, 2);
+        for attempt in 1..=2 {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cache.get_synthetic(&bad, TraceScale::Tiny)
+            }));
+            assert!(run.is_err(), "attempt {attempt} must panic through the cache");
+            assert_eq!(cache.builds(), attempt, "a failed build is retried, not poisoned");
+            cache.release(&bad, TraceScale::Tiny);
+        }
+        assert!(cache.synth.lock().expect("map lock").is_empty(), "the count did not leak");
+        assert_eq!(cache.retained_bytes(), 0);
+        assert_eq!(cache.peak_bytes(), 0, "a build that panicked retained nothing");
     }
 
     #[test]

@@ -161,6 +161,60 @@ fn grid_builds_each_trace_once_and_shares_it() {
 }
 
 #[test]
+fn trace_peak_bytes_stays_within_one_trace_per_worker() {
+    let _guard = telemetry_lock();
+    journal::clear_global();
+    telemetry::clear();
+    let cells = small_grid();
+    let kinds = [PrefetcherKind::None, PrefetcherKind::NextLine, PrefetcherKind::Pmp];
+    let (_, summary) = run_grid(&cells, &kinds, &tiny_cfg());
+    assert!(summary.is_clean());
+    // Trace-major order plus release after each trace's last cell: a
+    // trace is held only while one of its cells runs, so no more
+    // traces than workers are ever held at once (a kind-major grid on
+    // two workers would hold all three).
+    let largest = catalog()[..3]
+        .iter()
+        .map(|spec| std::mem::size_of_val(spec.build(TraceScale::Tiny).ops.as_slice()))
+        .max()
+        .expect("three specs");
+    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+    assert!(summary.trace_peak_bytes >= largest, "the largest trace was held while it ran");
+    assert!(
+        summary.trace_peak_bytes <= workers * largest,
+        "peak {} B over {workers} workers × {largest} B",
+        summary.trace_peak_bytes
+    );
+    let report = summary.report();
+    assert!(report.contains("MiB retained"), "{report}");
+}
+
+#[test]
+fn trace_peak_bytes_is_zero_for_a_fully_resumed_grid() {
+    let _guard = telemetry_lock();
+    journal::install_global(Journal::in_memory());
+    telemetry::clear();
+    let cells = small_grid();
+    let (_, first) = run_grid(&cells, &[PrefetcherKind::None], &tiny_cfg());
+    assert_eq!(first.trace_builds, 3);
+    // Half resumed: the baseline cells release their uses without
+    // loading a trace, the NextLine cells build. A debug build's
+    // run_grid asserts that nothing is retained when the grid ends.
+    let kinds = [PrefetcherKind::None, PrefetcherKind::NextLine];
+    let (_, second) = run_grid(&cells, &kinds, &tiny_cfg());
+    assert_eq!(second.resumed, 3);
+    assert_eq!(second.trace_builds, 3, "one build per trace the executed cells need");
+    assert!(second.trace_peak_bytes > 0);
+    // Fully resumed: every use is released unloaded.
+    let (outcomes, third) = run_grid(&cells, &kinds, &tiny_cfg());
+    assert_eq!(outcomes.len(), 6);
+    assert_eq!(third.resumed, 6);
+    assert_eq!(third.trace_builds, 0);
+    assert_eq!(third.trace_peak_bytes, 0, "a resumed grid holds no trace");
+    journal::clear_global();
+}
+
+#[test]
 fn installed_trace_pool_spans_grids_and_reports_deltas() {
     let _guard = telemetry_lock();
     journal::clear_global();
