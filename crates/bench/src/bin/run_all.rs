@@ -18,7 +18,7 @@
 //! started. Compare two of them with the `bench_diff` bin.
 use pmp_bench::experiments::{ablation, headline, motivation, multicore, scale_from_env, sensitivity, storage};
 use pmp_bench::progress::{ProgressMode, ProgressReporter};
-use pmp_bench::{journal, telemetry, trace_pool};
+use pmp_bench::{journal, telemetry};
 use pmp_obs::SweepObserver;
 use std::fs;
 use std::path::Path;
@@ -44,10 +44,6 @@ fn main() {
         Err(e) => eprintln!("journal: disabled ({e}); running without checkpointing"),
     }
     let observer = telemetry::install(SweepObserver::new());
-    // One trace cache across every phase below: the phases sweep
-    // overlapping trace sets, so without this each grid rebuilds the
-    // same traces from scratch.
-    trace_pool::install_default_global();
     let reporter = ProgressReporter::start(ProgressMode::from_env(&args));
     let t0 = Instant::now();
     let save = |name: &str, body: String| {

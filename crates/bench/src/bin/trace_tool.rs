@@ -6,6 +6,9 @@
 //! trace_tool export spec06.mcf_2 /tmp/mcf2.pmpt [tiny|small|standard|large]
 //! trace_tool info /tmp/mcf2.pmpt
 //! ```
+//!
+//! A usage error (no or unknown subcommand, missing arguments, an
+//! unknown trace or scale) exits 2; a failed read or write exits 1.
 
 use pmp_bench::{scale_or_exit, trace_or_exit};
 use pmp_traces::io::{read_trace, write_trace};
@@ -69,7 +72,7 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!("usage: trace_tool list | export <name> <file> [scale] | info <file>");
-            ExitCode::FAILURE
+            ExitCode::from(2)
         }
     }
 }

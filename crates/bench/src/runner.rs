@@ -21,7 +21,6 @@ use crate::prefetchers::PrefetcherKind;
 use crate::telemetry;
 use pmp_obs::{CellSpan, SpanOutcome};
 use pmp_sim::{MultiCoreSystem, SimResult, SimStats, System, SystemConfig};
-use pmp_traces::io::read_trace_file;
 use pmp_traces::{Suite, Trace, TraceCache, TraceScale, TraceSpec};
 use pmp_types::HarnessError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -231,27 +230,20 @@ impl CellSpec {
         }
     }
 
-    /// The cell's traces, one per core, through the grid's shared cache
-    /// when one is in play. An unreadable or corrupt file maps to
-    /// [`HarnessError::TraceIo`]; generator panics propagate to the
-    /// caller's isolation boundary.
+    /// The cell's traces, one per core, through `cache`. An unreadable
+    /// or corrupt file maps to [`HarnessError::TraceIo`]; generator
+    /// panics propagate to the caller's isolation boundary.
     pub(crate) fn load(
         &self,
         scale: TraceScale,
-        cache: Option<&TraceCache>,
+        cache: &TraceCache,
     ) -> Result<Vec<Arc<Trace>>, HarnessError> {
-        let synthetic = |spec: &TraceSpec| match cache {
-            Some(cache) => cache.get_synthetic(spec, scale),
-            None => Arc::new(spec.build(scale)),
-        };
+        let synthetic = |spec: &TraceSpec| cache.get_synthetic(spec, scale);
         match self {
-            CellSpec::File(path) => {
-                let trace = match cache {
-                    Some(cache) => cache.get_file(path),
-                    None => read_trace_file(path).map(Arc::new),
-                };
-                trace.map(|t| vec![t]).map_err(|e| HarnessError::trace_io(self.name(), e))
-            }
+            CellSpec::File(path) => cache
+                .get_file(path)
+                .map(|t| vec![t])
+                .map_err(|e| HarnessError::trace_io(self.name(), e)),
             _ => Ok(self.synthetic_specs().iter().map(synthetic).collect()),
         }
     }
@@ -300,12 +292,11 @@ pub(crate) fn snapshot_file_name(cell: &str, label: &str) -> String {
 /// Returns a [`CellFailure`] carrying the typed [`HarnessError`] when
 /// the cell cannot produce a result; the caller's sweep continues.
 pub fn run_cell(cell: &CellSpec, kind: &PrefetcherKind, cfg: &RunConfig) -> CellResult {
-    run_cell_cached(cell, kind, cfg, None)
+    run_cell_cached(cell, kind, cfg, &TraceCache::new())
 }
 
-/// [`run_cell`] with an optional shared trace cache — [`run_grid`]'s
-/// per-cell entry point (each distinct trace builds or decodes once
-/// per grid).
+/// [`run_cell`] through a shared trace cache — [`run_grid`]'s per-cell
+/// entry point (each distinct trace builds or decodes once per grid).
 ///
 /// The one cell pipeline every flavour shares: validate, journal
 /// lookup (all-or-nothing over the cell's keys), then load, warm start,
@@ -316,7 +307,7 @@ pub(crate) fn run_cell_cached(
     cell: &CellSpec,
     kind: &PrefetcherKind,
     cfg: &RunConfig,
-    cache: Option<&TraceCache>,
+    cache: &TraceCache,
 ) -> CellResult {
     let start = Instant::now();
     let elapsed_ms = || start.elapsed().as_millis() as u64;
@@ -530,14 +521,13 @@ pub fn run_specs_grid(
 /// trace-major — `cell_idx * kinds.len() + kind_idx`, every kind of one
 /// cell back to back — with no per-kind barrier, and returns kind-major
 /// (`kind_idx * cells.len() + cell_idx`), the order every caller reads.
-/// Each distinct trace is generated or decoded once, through a per-grid
-/// [`TraceCache`] or the installed [`crate::trace_pool`]. The per-grid
-/// cache is told every cell's synthetic traces up front and gets each
-/// use back as its cell finishes (ran, resumed, rejected or panicked),
-/// so it frees a trace after the trace's last cell: the grid holds
-/// about one trace per worker, not all of them. The installed pool
-/// keeps its traces for later grids. `resumed` is this grid's
-/// journal-hit delta, not the process-lifetime total.
+/// Each distinct trace is generated or decoded once, through a
+/// [`TraceCache`] that lives for this grid only. The cache is told
+/// every cell's synthetic traces up front and gets each use back as its
+/// cell finishes (ran, resumed, rejected or panicked), so it frees a
+/// trace after the trace's last cell: the grid holds about one trace
+/// per worker, not all of them. `resumed` is this grid's journal-hit
+/// delta, not the process-lifetime total.
 pub fn run_grid(
     cells: &[CellSpec],
     kinds: &[PrefetcherKind],
@@ -545,30 +535,21 @@ pub fn run_grid(
 ) -> (Vec<RunOutcome>, SweepSummary) {
     telemetry::expect_cells(cells.len() * kinds.len());
     let hits_before = journal::global_hits();
-    let pool = crate::trace_pool::global();
-    let (cache, trace_builds_before, trace_hits_before) = match &pool {
-        Some(pool) => (Arc::clone(pool), pool.builds(), pool.hits()),
-        None => (Arc::new(TraceCache::new()), 0, 0),
-    };
-    let planned = pool.is_none();
-    if planned {
-        for spec in cells.iter().flat_map(CellSpec::synthetic_specs) {
-            cache.plan(spec, cfg.scale, kinds.len());
-        }
+    let cache = TraceCache::new();
+    for spec in cells.iter().flat_map(CellSpec::synthetic_specs) {
+        cache.plan(spec, cfg.scale, kinds.len());
     }
     let width = kinds.len();
     let grid: Vec<usize> = (0..cells.len() * width).collect();
     let results = parallel_map(&grid, |&i| {
         let cell = &cells[i / width];
-        let result = run_cell_cached(cell, &kinds[i % width], cfg, Some(&cache));
-        if planned {
-            for spec in cell.synthetic_specs() {
-                cache.release(spec, cfg.scale);
-            }
+        let result = run_cell_cached(cell, &kinds[i % width], cfg, &cache);
+        for spec in cell.synthetic_specs() {
+            cache.release(spec, cfg.scale);
         }
         result
     });
-    debug_assert!(!planned || cache.retained_bytes() == 0, "every planned use was released");
+    debug_assert!(cache.retained_bytes() == 0, "every planned use was released");
     let mut kind_major: Vec<(usize, CellResult)> = results
         .into_iter()
         .enumerate()
@@ -585,8 +566,8 @@ pub fn run_grid(
     }
     summary.completed = outcomes.len();
     summary.resumed = journal::global_hits().saturating_sub(hits_before);
-    summary.trace_builds = cache.builds().saturating_sub(trace_builds_before);
-    summary.trace_cache_hits = cache.hits().saturating_sub(trace_hits_before);
+    summary.trace_builds = cache.builds();
+    summary.trace_cache_hits = cache.hits();
     summary.trace_peak_bytes = cache.peak_bytes();
     (outcomes, summary)
 }
@@ -608,7 +589,7 @@ pub struct SweepSummary {
     /// rebuilt.
     pub trace_cache_hits: usize,
     /// High-water mark of synthetic-trace bytes the grid's cache held
-    /// at once (with the installed trace pool, the pool's mark so far).
+    /// at once.
     pub trace_peak_bytes: usize,
 }
 

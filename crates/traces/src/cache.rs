@@ -27,7 +27,7 @@
 //! the requesting cell's isolation boundary; a later request retries
 //! the build.
 //!
-//! ## Lifetime and memory bound
+//! ## Lifetime
 //!
 //! A cache is scoped to one grid: the runner constructs it at the top
 //! of `run_grid`, every worker shares it by reference, and it drops
@@ -41,21 +41,11 @@
 //! exactly once. With the grid run trace-major (all kinds of one trace
 //! back to back), peak memory is about one trace per worker rather than
 //! every distinct trace of the grid. Keys never planned are retained
-//! for the cache's lifetime: that is how a caller holding the cache
-//! itself (the runner's cross-grid trace pool) reuses traces.
+//! for the cache's lifetime, which for a single `run_cell` is one cell.
 //!
 //! [`TraceCache::retained_bytes`] and its high-water mark
-//! [`TraceCache::peak_bytes`] are counters moved on every build,
-//! release and eviction, not sums over the map.
-//!
-//! For caches kept across grids, which no plan empties, an explicit
-//! byte cap bounds the synthetic side: [`TraceCache::with_byte_cap`]
-//! (or the `PMP_TRACE_CACHE_BYTES` environment variable, read by
-//! [`TraceCache::new`]) sets an approximate limit, and crossing it
-//! evicts the least-recently-used *materialised* entries — never an
-//! in-flight build, never the entry just served — so a later request
-//! for an evicted trace simply rebuilds it. Default: uncapped, the
-//! historical behaviour.
+//! [`TraceCache::peak_bytes`] are counters moved on every build and
+//! release, not sums over the map.
 
 use crate::catalog::TraceSpec;
 use crate::io::read_trace_file;
@@ -63,15 +53,13 @@ use crate::trace::{Trace, TraceScale};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// One synthetic-trace slot plus the recency stamp LRU eviction keys
-/// on.
+/// One synthetic-trace slot plus its outstanding planned uses.
 #[derive(Debug, Default)]
 struct SynthEntry {
     slot: Arc<OnceLock<Arc<Trace>>>,
-    last_used: u64,
     /// Uses announced by [`TraceCache::plan`] and not yet released; the
     /// entry drops when a release brings it to zero. Zero for a key
     /// never planned, which is retained.
@@ -84,18 +72,11 @@ fn trace_bytes(trace: &Trace) -> usize {
     trace.ops.len() * std::mem::size_of::<pmp_types::TraceOp>()
 }
 
-/// Parse a byte-cap setting: positive integers cap, anything else (or
-/// absence) means uncapped.
-fn parse_cap(value: Option<&str>) -> Option<usize> {
-    value.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&b| b > 0)
-}
-
 /// Shares materialised traces across the cells of one grid. See the
-/// module docs for keying, concurrency, lifetime, and the memory
-/// bound.
-#[derive(Debug)]
+/// module docs for keying, concurrency and lifetime.
+#[derive(Debug, Default)]
 pub struct TraceCache {
-    /// Synthetic traces: spec+scale key → build-once slot + recency.
+    /// Synthetic traces: spec+scale key → build-once slot + planned uses.
     synth: Mutex<HashMap<String, SynthEntry>>,
     /// Decoded `.pmpt` files by path (read errors are never cached —
     /// a transient IO failure should not poison later cells).
@@ -104,47 +85,16 @@ pub struct TraceCache {
     requests: AtomicUsize,
     /// Traces actually generated or decoded.
     builds: AtomicUsize,
-    /// Synthetic entries evicted to stay under the byte cap.
-    evictions: AtomicUsize,
     /// Bytes of materialised synthetic traces the map holds.
     retained: AtomicUsize,
     /// High-water mark of `retained`.
     peak: AtomicUsize,
-    /// Monotonic recency clock for LRU ordering.
-    clock: AtomicU64,
-    /// Approximate byte cap on materialised synthetic traces; `None`
-    /// (the default) keeps everything for the cache's lifetime.
-    cap_bytes: Option<usize>,
-}
-
-impl Default for TraceCache {
-    fn default() -> Self {
-        TraceCache {
-            synth: Mutex::default(),
-            files: Mutex::default(),
-            requests: AtomicUsize::new(0),
-            builds: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
-            retained: AtomicUsize::new(0),
-            peak: AtomicUsize::new(0),
-            clock: AtomicU64::new(0),
-            cap_bytes: parse_cap(std::env::var("PMP_TRACE_CACHE_BYTES").ok().as_deref()),
-        }
-    }
 }
 
 impl TraceCache {
-    /// An empty cache; `PMP_TRACE_CACHE_BYTES` (a positive byte count)
-    /// sets the memory cap, otherwise the cache is unbounded.
+    /// An empty cache.
     pub fn new() -> Self {
         TraceCache::default()
-    }
-
-    /// An empty cache with an explicit approximate byte cap on
-    /// materialised synthetic traces (`0` means uncapped). Overrides
-    /// the environment variable.
-    pub fn with_byte_cap(cap_bytes: usize) -> Self {
-        TraceCache { cap_bytes: (cap_bytes > 0).then_some(cap_bytes), ..TraceCache::default() }
     }
 
     /// The map key of `spec` at `scale`: the full parameterisation.
@@ -174,24 +124,15 @@ impl TraceCache {
         }
         entry.planned -= 1;
         if entry.planned == 0 {
-            if let Some(entry) = map.remove(&key) {
-                self.forget(&entry.slot);
+            if let Some(trace) = map.remove(&key).as_ref().and_then(|e| e.slot.get()) {
+                self.retained.fetch_sub(trace_bytes(trace), Ordering::Relaxed);
             }
-        }
-    }
-
-    /// Take a dropped slot's trace, if it was built, off the retained
-    /// count.
-    fn forget(&self, slot: &OnceLock<Arc<Trace>>) {
-        if let Some(trace) = slot.get() {
-            self.retained.fetch_sub(trace_bytes(trace), Ordering::Relaxed);
         }
     }
 
     /// The materialised trace for `spec` at `scale`, building it on
     /// first request and sharing the same [`Arc`] thereafter (until its
-    /// last planned use is released, or the byte cap, when set, evicts
-    /// it — a later request rebuilds).
+    /// last planned use is released).
     ///
     /// # Panics
     ///
@@ -199,15 +140,11 @@ impl TraceCache {
     /// uninitialised, so a later request retries).
     pub fn get_synthetic(&self, spec: &TraceSpec, scale: TraceScale) -> Arc<Trace> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let key = Self::synth_key(spec, scale);
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let slot = {
             let mut map = self.synth.lock().unwrap_or_else(PoisonError::into_inner);
-            let entry = map.entry(key.clone()).or_default();
-            entry.last_used = stamp;
-            entry.slot.clone()
+            map.entry(Self::synth_key(spec, scale)).or_default().slot.clone()
         };
-        let trace = slot
+        slot
             .get_or_init(|| {
                 self.builds.fetch_add(1, Ordering::Relaxed);
                 let trace = Arc::new(spec.build(scale));
@@ -218,41 +155,7 @@ impl TraceCache {
                 self.peak.fetch_max(now, Ordering::Relaxed);
                 trace
             })
-            .clone();
-        if self.cap_bytes.is_some() {
-            self.enforce_cap(&key);
-        }
-        trace
-    }
-
-    /// Evict least-recently-used materialised entries until the
-    /// synthetic side fits the cap again. The entry just served
-    /// (`keep`) and in-flight builds (uninitialised slots) are never
-    /// evicted, so a single oversized trace still works — the cap is a
-    /// bound on *retained* memory, not a hard admission limit. A
-    /// planned entry keeps its count and only loses its trace.
-    fn enforce_cap(&self, keep: &str) {
-        let Some(cap) = self.cap_bytes else { return };
-        let mut map = self.synth.lock().unwrap_or_else(PoisonError::into_inner);
-        while self.retained.load(Ordering::Relaxed) > cap {
-            let victim = map
-                .iter_mut()
-                .filter(|(k, e)| k.as_str() != keep && e.slot.get().is_some())
-                .min_by_key(|(_, e)| e.last_used);
-            // Only `keep` and in-flight builds remain: nothing
-            // evictable, accept exceeding the cap transiently.
-            let Some((key, entry)) = victim else { return };
-            // Dropping the map's Arc only releases the cache's
-            // reference: cells still running on this trace keep it
-            // alive until they finish.
-            let slot = std::mem::take(&mut entry.slot);
-            if entry.planned == 0 {
-                let key = key.clone();
-                map.remove(&key);
-            }
-            self.forget(&slot);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+            .clone()
     }
 
     /// The decoded trace for the file at `path`, reading it on first
@@ -297,12 +200,6 @@ impl TraceCache {
     /// Requests served without building — `requests() - builds()`.
     pub fn hits(&self) -> usize {
         self.requests().saturating_sub(self.builds())
-    }
-
-    /// Synthetic entries evicted so far to stay under the byte cap
-    /// (always 0 for an uncapped cache).
-    pub fn evictions(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
     }
 
     /// Approximate bytes of materialised synthetic traces currently
@@ -461,70 +358,6 @@ mod tests {
         assert!(cache.synth.lock().expect("map lock").is_empty(), "the count did not leak");
         assert_eq!(cache.retained_bytes(), 0);
         assert_eq!(cache.peak_bytes(), 0, "a build that panicked retained nothing");
-    }
-
-    #[test]
-    fn parse_cap_accepts_positive_integers_only() {
-        assert_eq!(parse_cap(None), None);
-        assert_eq!(parse_cap(Some("")), None);
-        assert_eq!(parse_cap(Some("0")), None);
-        assert_eq!(parse_cap(Some("not-a-number")), None);
-        assert_eq!(parse_cap(Some("1048576")), Some(1 << 20));
-        assert_eq!(parse_cap(Some(" 4096 ")), Some(4096));
-    }
-
-    #[test]
-    fn byte_cap_evicts_lru_and_rebuilds_on_miss() {
-        let specs = [&catalog()[0], &catalog()[1], &catalog()[2]];
-        let one = trace_bytes(&specs[0].build(TraceScale::Tiny));
-        assert!(one > 0);
-        // Room for roughly two Tiny traces: the third build must push
-        // out the least-recently-used one.
-        let cache = TraceCache::with_byte_cap(one * 2 + one / 2);
-        let a = cache.get_synthetic(specs[0], TraceScale::Tiny);
-        let _b = cache.get_synthetic(specs[1], TraceScale::Tiny);
-        // Touch spec 0 so spec 1 is now the LRU.
-        let _ = cache.get_synthetic(specs[0], TraceScale::Tiny);
-        let _c = cache.get_synthetic(specs[2], TraceScale::Tiny);
-        assert!(cache.evictions() >= 1, "third trace must evict");
-        assert!(cache.retained_bytes() <= one * 2 + one / 2, "cap holds after eviction");
-        // Spec 0 (recently touched) survived: requesting it is a hit.
-        let builds_before = cache.builds();
-        let a2 = cache.get_synthetic(specs[0], TraceScale::Tiny);
-        assert!(Arc::ptr_eq(&a, &a2), "recently-used entry survived the eviction");
-        assert_eq!(cache.builds(), builds_before, "no rebuild for a retained trace");
-        // Spec 1 (the LRU) was evicted: requesting it rebuilds.
-        let evicted = cache.get_synthetic(specs[1], TraceScale::Tiny);
-        assert_eq!(cache.builds(), builds_before + 1, "evicted trace rebuilds on demand");
-        assert_eq!(evicted.ops, specs[1].build(TraceScale::Tiny).ops, "rebuild is faithful");
-    }
-
-    #[test]
-    fn uncapped_cache_never_evicts() {
-        let cache = TraceCache::with_byte_cap(0);
-        for spec in catalog().iter().take(6) {
-            let _ = cache.get_synthetic(spec, TraceScale::Tiny);
-        }
-        assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.builds(), 6);
-        assert!(cache.retained_bytes() > 0);
-        // Every one of them is still shared, not rebuilt.
-        for spec in catalog().iter().take(6) {
-            let _ = cache.get_synthetic(spec, TraceScale::Tiny);
-        }
-        assert_eq!(cache.builds(), 6, "uncapped cache retains everything");
-    }
-
-    #[test]
-    fn oversized_single_trace_is_served_not_refused() {
-        // A cap smaller than one trace: the trace still builds and is
-        // served (the cap bounds retained memory, not admission), and
-        // nothing else can be evicted to make room.
-        let cache = TraceCache::with_byte_cap(1);
-        let spec = &catalog()[0];
-        let t = cache.get_synthetic(spec, TraceScale::Tiny);
-        assert!(!t.ops.is_empty());
-        assert_eq!(cache.evictions(), 0, "the just-served entry is never its own victim");
     }
 
     #[test]

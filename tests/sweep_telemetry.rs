@@ -8,9 +8,9 @@ use pmp_bench::benchdiff::BenchDiff;
 use pmp_bench::journal::{self, Journal};
 use pmp_bench::prefetchers::PrefetcherKind;
 use pmp_bench::runner::{run_cell, run_grid, CellSpec, RunConfig};
-use pmp_bench::{telemetry, trace_pool};
+use pmp_bench::telemetry;
 use pmp_obs::{CellSpan, SpanOutcome, SweepObserver};
-use pmp_traces::{catalog, TraceCache, TraceScale};
+use pmp_traces::{catalog, TraceScale};
 use std::sync::{Mutex, MutexGuard};
 
 /// The observer and journal are process-wide; tests that install them
@@ -215,29 +215,20 @@ fn trace_peak_bytes_is_zero_for_a_fully_resumed_grid() {
 }
 
 #[test]
-fn installed_trace_pool_spans_grids_and_reports_deltas() {
+fn each_grid_builds_its_own_traces() {
     let _guard = telemetry_lock();
     journal::clear_global();
     telemetry::clear();
     let cells = small_grid();
     let kinds = [PrefetcherKind::None, PrefetcherKind::NextLine];
-    // An explicit byte bound, as the drivers install it: the pool must
-    // never be unbounded across phases.
-    let pool = trace_pool::install_global(TraceCache::with_byte_cap(1 << 28));
-    let (_, a) = run_grid(&cells, &kinds, &tiny_cfg());
-    assert!(a.is_clean());
-    assert_eq!(a.trace_builds, 3, "first grid builds each distinct trace");
-    assert_eq!(a.trace_cache_hits, 3, "the second kind reuses every trace");
-    // The same grid again: with the pool installed, nothing rebuilds —
-    // the cross-phase reuse `run_all` now gets — and the summary still
-    // reports this grid's delta, not the process-lifetime totals.
-    let (_, b) = run_grid(&cells, &kinds, &tiny_cfg());
-    assert!(b.is_clean());
-    assert_eq!(b.trace_builds, 0, "pooled traces survive across grids");
-    assert_eq!(b.trace_cache_hits, 6, "every access in the second grid hits the pool");
-    assert_eq!(pool.builds(), 3, "process-wide builds stay at the first grid's count");
-    let removed = trace_pool::clear_global().expect("pool was installed");
-    assert!(std::sync::Arc::ptr_eq(&pool, &removed));
+    // No trace outlives its grid: the same grid run again builds every
+    // trace afresh, and each summary counts that grid alone.
+    for run in 1..=2 {
+        let (_, summary) = run_grid(&cells, &kinds, &tiny_cfg());
+        assert!(summary.is_clean(), "run {run}");
+        assert_eq!(summary.trace_builds, 3, "run {run} builds each distinct trace");
+        assert_eq!(summary.trace_cache_hits, 3, "run {run}: the second kind reuses every trace");
+    }
 }
 
 #[test]
