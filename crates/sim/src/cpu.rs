@@ -15,35 +15,46 @@ use crate::config::CoreConfig;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+/// An in-flight load and the non-load instructions dispatched between
+/// it and the next older load (or the ROB head).
+#[derive(Debug, Clone, Copy)]
+struct RobLoad {
+    /// Non-memory instructions and stores ahead of this load.
+    gap: usize,
+    /// Cycle at which the load's access completes.
+    complete: u64,
+}
+
 /// The core's dispatch/retire engine. The memory system is external:
 /// the driver calls [`Cpu::begin_mem_op`] to learn the issue cycle,
 /// resolves the latency through the hierarchy, and completes the
 /// instruction with [`Cpu::dispatch_load`] / [`Cpu::dispatch_store`].
 ///
-/// The ROB is run-length encoded: consecutive in-flight instructions
-/// with the same completion cycle share one `(completion, count)` run.
-/// Retirement is in order and only compares completion cycles, so
-/// retiring `k` instructions from the head run is exactly `k`
-/// single-instruction retirements; the non-memory instructions
-/// dispatched in one cycle, which all complete the next cycle, land in
-/// one run.
+/// The ROB is a FIFO of in-flight loads, each with a count of the
+/// instructions dispatched ahead of it, plus a count of the instructions
+/// after the youngest load. Non-memory instructions and stores complete
+/// the cycle after they dispatch and retirement runs only after the
+/// clock has moved past their dispatch cycle, so they retire as soon as
+/// they reach the head; only loads carry a completion cycle. The cost of
+/// the model therefore grows with in-flight loads, and
+/// [`Cpu::dispatch_nonmem`] steps through runs of full-width cycles in
+/// one batch instead of one cycle at a time.
 #[derive(Debug)]
 pub struct Cpu {
     width: usize,
     rob_size: usize,
     lq_size: usize,
     sq_size: usize,
-    /// In-flight instructions in program order, as runs of equal
-    /// completion cycles.
-    rob: VecDeque<(u64, usize)>,
-    /// Instructions in the ROB (the sum of the run counts).
+    /// In-flight loads in program order.
+    loads: VecDeque<RobLoad>,
+    /// Non-load instructions dispatched after the youngest load.
+    tail: usize,
+    /// Instructions in the ROB (every load plus every gap and `tail`).
     rob_len: usize,
-    /// Completion cycles of in-flight loads (bounds the LQ), as a
-    /// min-heap: freeing an entry is a pop of the earliest completion
-    /// instead of a full-queue scan, which the per-cycle reclaim would
-    /// otherwise pay on every load-heavy cycle.
-    loads: BinaryHeap<Reverse<u64>>,
-    /// Completion cycles of in-flight stores (bounds the SQ).
+    /// Completion cycles of stores that may still hold an SQ entry, as a
+    /// min-heap. Entries that have completed are purged only when the
+    /// heap reaches `sq_size`: each push completes after `now`, so the
+    /// set left after a purge does not depend on when earlier purges ran.
     stores: BinaryHeap<Reverse<u64>>,
     now: u64,
     dispatched_this_cycle: usize,
@@ -60,9 +71,9 @@ impl Cpu {
             rob_size: cfg.rob_entries,
             lq_size: cfg.lq_entries,
             sq_size: cfg.sq_entries,
-            rob: VecDeque::with_capacity(cfg.rob_entries),
+            loads: VecDeque::with_capacity(cfg.rob_entries),
+            tail: 0,
             rob_len: 0,
-            loads: BinaryHeap::with_capacity(cfg.lq_entries),
             stores: BinaryHeap::with_capacity(cfg.sq_entries),
             now: 0,
             dispatched_this_cycle: 0,
@@ -87,41 +98,45 @@ impl Cpu {
     /// retiring completed instructions.
     fn advance_cycle(&mut self) {
         // If the ROB is full and the head has not completed, nothing can
-        // happen until it does — skip straight there.
+        // retire until it does — skip straight there. A non-load head
+        // completes the cycle after its dispatch, which is later than
+        // `now` only when the whole ROB was dispatched this cycle.
         if self.rob_len == self.rob_size {
-            if let Some(&(head, _)) = self.rob.front() {
-                if head > self.now {
-                    self.now = head;
-                }
+            match self.loads.front() {
+                Some(head) if head.gap == 0 => self.now = self.now.max(head.complete),
+                _ if self.rob_len <= self.dispatched_this_cycle => self.now += 1,
+                _ => {}
             }
         }
         self.now += 1;
         self.dispatched_this_cycle = 0;
         let mut slots = self.width;
         while slots > 0 {
-            match self.rob.front_mut() {
-                Some((c, count)) if *c <= self.now => {
-                    let k = slots.min(*count);
-                    *count -= k;
-                    if *count == 0 {
-                        self.rob.pop_front();
-                    }
-                    slots -= k;
-                    self.rob_len -= k;
-                    self.retired += k as u64;
-                }
-                _ => break,
+            let Some(head) = self.loads.front_mut() else {
+                let k = slots.min(self.tail);
+                self.tail -= k;
+                self.retire(k);
+                return;
+            };
+            if head.gap > 0 {
+                let k = slots.min(head.gap);
+                head.gap -= k;
+                slots -= k;
+                self.retire(k);
+            } else if head.complete <= self.now {
+                self.loads.pop_front();
+                slots -= 1;
+                self.retire(1);
+            } else {
+                return;
             }
         }
-        // Free LQ/SQ entries whose access has completed: pop the heap
-        // head while it has been reached (one peek when nothing has).
-        let now = self.now;
-        while self.loads.peek().is_some_and(|&Reverse(c)| c <= now) {
-            self.loads.pop();
-        }
-        while self.stores.peek().is_some_and(|&Reverse(c)| c <= now) {
-            self.stores.pop();
-        }
+    }
+
+    #[inline]
+    fn retire(&mut self, k: usize) {
+        self.rob_len -= k;
+        self.retired += k as u64;
     }
 
     /// Block until an instruction slot (ROB + width) is available.
@@ -131,28 +146,119 @@ impl Cpu {
         }
     }
 
-    /// Append `count` instructions completing at `complete` to the ROB
-    /// tail, extending the tail run when it completes then too.
-    fn rob_push(&mut self, complete: u64, count: usize) {
-        match self.rob.back_mut() {
-            Some((c, n)) if *c == complete => *n += count,
-            _ => self.rob.push_back((complete, count)),
-        }
+    /// Append `count` non-load instructions to the ROB tail.
+    fn push_nonload(&mut self, count: usize) {
+        self.tail += count;
         self.rob_len += count;
         self.dispatched_this_cycle += count;
+    }
+
+    /// Run the cycles that each retire and then dispatch exactly
+    /// `width` of the `n` non-memory instructions, as many in a row as
+    /// possible, and return how many instructions they dispatched.
+    ///
+    /// Call only when the next dispatch must advance the clock (the ROB
+    /// is full, or this cycle's width is used up) and, if the ROB is
+    /// full, it holds more than `width` instructions. Then the ROB length
+    /// stays the same across the batch, cycle `j` (from 1) retires the
+    /// instructions at head positions `(j-1)·width..j·width`, and the
+    /// non-loads among them, including the ones dispatched in the batch,
+    /// have completed by then. Only loads can end the batch early. A load
+    /// at position `pos` that completes `d > 0` cycles from now retires
+    /// in cycle `pos / width + 1` and must have completed by then, or by
+    /// the cycle before if it is the first of its cycle and the ROB is
+    /// full (or the full-ROB skip would fire): `(d-1)·width + full ≤ pos`.
+    /// The cost is the number of loads crossed.
+    fn whole_cycles(&mut self, n: usize) -> usize {
+        let w = self.width;
+        let full = u64::from(self.rob_len == self.rob_size);
+        let now = self.now;
+        // Head positions the batch may retire: below `n` and below the
+        // first load that is late for its cycle.
+        let mut end = n;
+        let mut pos = 0;
+        for load in &self.loads {
+            pos += load.gap;
+            if pos >= end {
+                break;
+            }
+            if load.complete > now && (load.complete - now - 1) * w as u64 + full > pos as u64 {
+                end = pos;
+                break;
+            }
+            pos += 1;
+        }
+        let m = end / w;
+        let k = m * w;
+        self.tail += k;
+        let mut left = k;
+        while left > 0 {
+            match self.loads.front_mut() {
+                Some(head) if head.gap < left => {
+                    left -= head.gap + 1;
+                    self.loads.pop_front();
+                }
+                Some(head) => {
+                    head.gap -= left;
+                    left = 0;
+                }
+                None => {
+                    self.tail -= left;
+                    left = 0;
+                }
+            }
+        }
+        self.now += m as u64;
+        self.retired += k as u64;
+        if m > 0 {
+            self.dispatched_this_cycle = w;
+        }
+        k
     }
 
     /// Dispatch `n` non-memory instructions (1-cycle execute), as many
     /// per cycle as the dispatch width and the free ROB entries allow.
     pub fn dispatch_nonmem(&mut self, mut n: usize) {
+        let w = self.width;
         while n > 0 {
+            // A cycle's dispatches stay in the ROB until the next cycle,
+            // so a used-up width means at least `width` instructions.
+            let batchable = if self.rob_len == self.rob_size {
+                self.rob_size > w
+            } else {
+                self.dispatched_this_cycle == w
+            };
+            if n >= w && batchable {
+                n -= self.whole_cycles(n);
+                if n == 0 {
+                    break;
+                }
+            }
             self.wait_dispatch_slot();
-            let k = n
-                .min(self.width - self.dispatched_this_cycle)
-                .min(self.rob_size - self.rob_len);
-            self.rob_push(self.now + 1, k);
+            let k = n.min(w - self.dispatched_this_cycle).min(self.rob_size - self.rob_len);
+            self.push_nonload(k);
             n -= k;
         }
+    }
+
+    /// Whether every LQ entry is held. An entry is held by each ROB load
+    /// that has not yet completed (a retired load always has), so there
+    /// is nothing to count while the ROB holds fewer than `lq_size` loads.
+    fn lq_full(&self) -> bool {
+        self.loads.len() >= self.lq_size
+            && self.loads.iter().filter(|l| l.complete > self.now).count() >= self.lq_size
+    }
+
+    /// Whether every SQ entry is held by a store that has not completed.
+    fn sq_full(&mut self) -> bool {
+        if self.stores.len() < self.sq_size {
+            return false;
+        }
+        let now = self.now;
+        while self.stores.peek().is_some_and(|&Reverse(c)| c <= now) {
+            self.stores.pop();
+        }
+        self.stores.len() >= self.sq_size
     }
 
     /// Reserve a dispatch slot for a memory instruction and return the
@@ -163,11 +269,11 @@ impl Cpu {
     pub fn begin_mem_op(&mut self, is_load: bool, dep: bool) -> u64 {
         self.wait_dispatch_slot();
         if is_load {
-            while self.loads.len() >= self.lq_size {
+            while self.lq_full() {
                 self.advance_cycle();
             }
         } else {
-            while self.stores.len() >= self.sq_size {
+            while self.sq_full() {
                 self.advance_cycle();
             }
         }
@@ -181,15 +287,17 @@ impl Cpu {
     /// Complete a load dispatched at `issue` with the given `latency`.
     pub fn dispatch_load(&mut self, issue: u64, latency: u64) {
         let complete = issue + latency.max(1);
-        self.rob_push(complete, 1);
-        self.loads.push(Reverse(complete));
+        self.loads.push_back(RobLoad { gap: self.tail, complete });
+        self.tail = 0;
+        self.rob_len += 1;
+        self.dispatched_this_cycle += 1;
         self.last_load_complete = complete;
     }
 
     /// Complete a store: it retires quickly (commits from the SQ after
     /// retirement), but occupies an SQ entry until the write completes.
     pub fn dispatch_store(&mut self, issue: u64, latency: u64) {
-        self.rob_push(self.now + 1, 1);
+        self.push_nonload(1);
         let complete = issue + latency.max(1);
         self.stores.push(Reverse(complete));
     }

@@ -1,12 +1,13 @@
-//! Reference model for the run-length ROB (test-only).
+//! Reference model for the load-FIFO ROB (test-only).
 //!
-//! This module preserves, verbatim, the core model the run-length ROB
-//! replaced: one ROB slot per instruction and one dispatch call per
-//! non-memory instruction. The randomized equivalence test drives both
-//! cores through identical streams of non-memory runs, loads and
-//! stores across small ROB/LQ/SQ shapes and checks the issue cycle of
-//! every memory op, the cycle and the retired count after every op,
-//! and the drain cycle.
+//! This module preserves the per-instruction core model the run-length
+//! and load-FIFO ROBs replaced: one ROB slot per instruction, one
+//! dispatch call per non-memory instruction, one clock step per cycle
+//! and an LQ min-heap. The equivalence tests drive both cores through
+//! identical streams of non-memory runs, loads and stores, over random
+//! shapes and over every small shape, and check the issue cycle of every
+//! memory op, the cycle and the retired count after every op, and the
+//! drain cycle.
 
 use crate::config::CoreConfig;
 use std::cmp::Reverse;
@@ -131,6 +132,60 @@ mod tests {
     use crate::cpu::Cpu;
     use pmp_types::Rng64;
 
+    /// One trace op as the core sees it.
+    #[derive(Clone, Copy)]
+    struct Op {
+        nonmem: usize,
+        is_load: bool,
+        dep: bool,
+        latency: u64,
+    }
+
+    fn random_ops(rng: &mut Rng64, len: usize, max_nonmem: usize, max_latency: u64) -> Vec<Op> {
+        (0..len)
+            .map(|_| {
+                let nonmem = rng.gen_range(0..=max_nonmem);
+                let is_load = rng.gen_range(0..4u32) != 0;
+                let dep = rng.gen_bool(0.2);
+                let latency = if rng.gen_bool(0.7) {
+                    rng.gen_range(1..=12u64)
+                } else {
+                    rng.gen_range(1..=max_latency)
+                };
+                Op { nonmem, is_load, dep, latency }
+            })
+            .collect()
+    }
+
+    /// Run `ops` through both cores, assert they agree after every op
+    /// and after the drain, and return the issue cycle of every op.
+    fn run_both(cfg: &CoreConfig, ops: &[Op]) -> Vec<u64> {
+        let mut new = Cpu::new(cfg);
+        let mut old = RefCpu::new(cfg);
+        let mut issues = Vec::with_capacity(ops.len());
+        for (step, op) in ops.iter().enumerate() {
+            new.dispatch_nonmem(op.nonmem);
+            for _ in 0..op.nonmem {
+                old.dispatch_nonmem();
+            }
+            let issue = new.begin_mem_op(op.is_load, op.dep);
+            assert_eq!(issue, old.begin_mem_op(op.is_load, op.dep), "issue: {cfg:?} step={step}");
+            if op.is_load {
+                new.dispatch_load(issue, op.latency);
+                old.dispatch_load(issue, op.latency);
+            } else {
+                new.dispatch_store(issue, op.latency);
+                old.dispatch_store(issue, op.latency);
+            }
+            assert_eq!(new.now(), old.now, "now: {cfg:?} step={step}");
+            assert_eq!(new.retired(), old.retired, "retired: {cfg:?} step={step}");
+            issues.push(issue);
+        }
+        assert_eq!(new.drain(), old.drain(), "drain: {cfg:?}");
+        assert_eq!(new.retired(), old.retired, "retired after drain: {cfg:?}");
+        issues
+    }
+
     #[test]
     fn run_length_rob_matches_per_instruction_reference() {
         let mut rng = Rng64::seed_from_u64(0x0C0B_5EED);
@@ -144,35 +199,48 @@ mod tests {
             });
         }
         for cfg in &shapes {
-            let mut new = Cpu::new(cfg);
-            let mut old = RefCpu::new(cfg);
-            for step in 0..2000 {
-                let n = rng.gen_range(0..=40usize);
-                new.dispatch_nonmem(n);
-                for _ in 0..n {
-                    old.dispatch_nonmem();
-                }
-                let is_load = rng.gen_range(0..4u32) != 0;
-                let dep = rng.gen_bool(0.2);
-                let latency = if rng.gen_bool(0.7) {
-                    rng.gen_range(1..=12u64)
-                } else {
-                    rng.gen_range(1..=400u64)
-                };
-                let issue = new.begin_mem_op(is_load, dep);
-                assert_eq!(issue, old.begin_mem_op(is_load, dep), "issue: {cfg:?} step={step}");
-                if is_load {
-                    new.dispatch_load(issue, latency);
-                    old.dispatch_load(issue, latency);
-                } else {
-                    new.dispatch_store(issue, latency);
-                    old.dispatch_store(issue, latency);
-                }
-                assert_eq!(new.now(), old.now, "now: {cfg:?} step={step}");
-                assert_eq!(new.retired(), old.retired, "retired: {cfg:?} step={step}");
-            }
-            assert_eq!(new.drain(), old.drain(), "drain: {cfg:?}");
-            assert_eq!(new.retired(), old.retired, "retired after drain: {cfg:?}");
+            let ops = random_ops(&mut rng, 2000, 40, 400);
+            run_both(cfg, &ops);
         }
+    }
+
+    /// Every width 1..=6 × ROB 1..=24 × LQ 1..=4 × SQ 1..=4, each on the
+    /// same fixed streams. Covers the ROBs no wider than the core, where
+    /// a full ROB can hold only this cycle's dispatches and the skip
+    /// must move to a non-load head's completion, `now + 1`.
+    #[test]
+    fn every_small_shape_matches_per_instruction_reference() {
+        let mut rng = Rng64::seed_from_u64(0x5A11_5EED);
+        let streams = [random_ops(&mut rng, 300, 30, 60), random_ops(&mut rng, 300, 8, 300)];
+        for width in 1..=6 {
+            for rob_entries in 1..=24 {
+                for lq_entries in 1..=4 {
+                    for sq_entries in 1..=4 {
+                        let cfg = CoreConfig { width, rob_entries, lq_entries, sq_entries };
+                        for ops in &streams {
+                            run_both(&cfg, ops);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Pins an off-by-one that both cores share, to be fixed together
+    /// with a regeneration of `results/` since it moves every IPC. The
+    /// full-ROB skip sets `now` to the head's completion cycle and the
+    /// cycle step then adds one, so a full ROB retires its head one cycle
+    /// after the head completes. A full LQ, which is waited out cycle by
+    /// cycle, frees the same load's entry on time.
+    #[test]
+    fn full_rob_skip_retires_the_head_a_cycle_late() {
+        let miss = Op { nonmem: 0, is_load: true, dep: false, latency: 100 };
+        let next = |nonmem| Op { nonmem, is_load: true, dep: false, latency: 1 };
+        // A 4-entry ROB fills behind the miss (which completes at 100).
+        let rob4 = CoreConfig { rob_entries: 4, ..CoreConfig::default() };
+        assert_eq!(run_both(&rob4, &[miss, next(3)]), [0, 101]);
+        // A 1-entry LQ holds the miss, and the ROB has room.
+        let lq1 = CoreConfig { lq_entries: 1, ..CoreConfig::default() };
+        assert_eq!(run_both(&lq1, &[miss, next(3)]), [0, 100]);
     }
 }
