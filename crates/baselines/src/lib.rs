@@ -7,11 +7,6 @@
 //! | Prefetcher | Paper | Pattern form | Budget (paper Table V) |
 //! |---|---|---|---|
 //! | [`Sms`] | Somogyi+ ISCA'06 | bit vectors, PC+offset indexed | — |
-//! | [`Bop`] | Michaud HPCA'16 | best constant offset | <2KB |
-//! | [`Sandbox`] | Pugsley+ HPCA'14 | sandboxed constant offsets | <1KB |
-//! | [`Vldp`] | Shevgoor+ MICRO'15 | variable-length delta sequences | ~1KB |
-//! | [`Ghb`] | Nesbit & Smith '05 | global history buffer, delta correlation | ~1.5KB |
-//! | [`Isb`] | Jain & Lin MICRO'13 | temporal (structural-address) streaming | tens of KB |
 //! | [`DsPatch`] | Bera+ MICRO'19 | dual bit vectors (OR/AND) | 3.6KB |
 //! | [`Bingo`] | Bakhshalipour+ HPCA'19 / DPC-3 | bit vectors, PC+Address → PC+Offset | 127.8KB (enhanced) |
 //! | [`SppPpf`] | Kim+ MICRO'16 + Bhatia+ ISCA'19 | delta signatures + perceptron filter | 48.4KB |
@@ -40,23 +35,13 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod bingo;
-pub mod bop;
 pub mod dspatch;
-pub mod ghb;
-pub mod isb;
 pub mod pythia;
-pub mod sandbox;
 pub mod sms;
 pub mod spp;
-pub mod vldp;
 
 pub use bingo::{Bingo, BingoConfig};
-pub use bop::{Bop, BopConfig};
 pub use dspatch::{DsPatch, DsPatchConfig};
-pub use ghb::{Ghb, GhbConfig};
-pub use isb::{Isb, IsbConfig};
 pub use pythia::{Pythia, PythiaConfig};
-pub use sandbox::{Sandbox, SandboxConfig};
 pub use sms::{Sms, SmsConfig};
 pub use spp::{SppPpf, SppPpfConfig};
-pub use vldp::{Vldp, VldpConfig};

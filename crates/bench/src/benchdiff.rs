@@ -216,8 +216,8 @@ impl BenchDiff {
 mod tests {
     use super::*;
 
-    const SIM_STYLE: &str = r#"{
-  "bench": "sim_throughput",
+    const WORKLOADS_STYLE: &str = r#"{
+  "bench": "core_kernels",
   "workloads": [
     {"name": "demand_walk", "ns_per_op": 60.0, "ops_per_sec": 16666667, "baseline_ops_per_sec": 10718114, "speedup": 1.555},
     {"name": "system_stream", "ns_per_op": 250.0, "ops_per_sec": 4000000, "baseline_ops_per_sec": 2722570, "speedup": 1.469}
@@ -235,7 +235,7 @@ mod tests {
 
     #[test]
     fn extracts_exact_fields_only() {
-        let metrics = extract_metrics_for(SIM_STYLE, MetricSet::Throughput).expect("valid");
+        let metrics = extract_metrics_for(WORKLOADS_STYLE, MetricSet::Throughput).expect("valid");
         // baseline_ops_per_sec must NOT match; two workloads → two
         // metrics.
         assert_eq!(metrics.len(), 2);
@@ -255,29 +255,29 @@ mod tests {
 
     #[test]
     fn flags_regressions_past_threshold_only() {
-        let new = SIM_STYLE
+        let new = WORKLOADS_STYLE
             .replace("\"ops_per_sec\": 16666667", "\"ops_per_sec\": 8000000") // -52%
             .replace("\"ops_per_sec\": 4000000", "\"ops_per_sec\": 3900000"); // -2.5%
-        let diff = BenchDiff::compare(SIM_STYLE, &new, 0.10);
+        let diff = BenchDiff::compare(WORKLOADS_STYLE, &new, 0.10);
         assert!(diff.has_regression());
         assert_eq!(diff.compared.len(), 2);
         assert!(diff.compared[0].regressed, "52% drop past a 10% threshold");
         assert!(!diff.compared[1].regressed, "2.5% drop within a 10% threshold");
         // A generous threshold passes both.
-        assert!(!BenchDiff::compare(SIM_STYLE, &new, 0.60).has_regression());
+        assert!(!BenchDiff::compare(WORKLOADS_STYLE, &new, 0.60).has_regression());
     }
 
     #[test]
     fn improvement_is_not_a_regression() {
-        let new = SIM_STYLE.replace("\"ops_per_sec\": 16666667", "\"ops_per_sec\": 20000000");
-        let diff = BenchDiff::compare(SIM_STYLE, &new, 0.10);
+        let new = WORKLOADS_STYLE.replace("\"ops_per_sec\": 16666667", "\"ops_per_sec\": 20000000");
+        let diff = BenchDiff::compare(WORKLOADS_STYLE, &new, 0.10);
         assert!(!diff.has_regression());
         assert!(diff.report().contains("improved"), "{}", diff.report());
     }
 
     #[test]
     fn missing_metric_counts_as_regression() {
-        let diff = BenchDiff::compare(SIM_STYLE, SWEEP_STYLE, 0.10);
+        let diff = BenchDiff::compare(WORKLOADS_STYLE, SWEEP_STYLE, 0.10);
         assert!(diff.has_regression(), "dropped workload metrics must not pass silently");
         assert!(!diff.removed.is_empty());
         assert!(!diff.added.is_empty());
@@ -340,7 +340,7 @@ mod tests {
 
     #[test]
     fn cross_format_self_compare_is_clean() {
-        for body in [SIM_STYLE, SWEEP_STYLE] {
+        for body in [WORKLOADS_STYLE, SWEEP_STYLE] {
             let diff = BenchDiff::compare(body, body, 0.10);
             assert!(!diff.has_regression());
             assert!(diff.compared.iter().all(|d| (d.ratio - 1.0).abs() < 1e-12));
@@ -355,7 +355,7 @@ mod tests {
     #[test]
     fn layout_does_not_change_the_extracted_metrics() {
         for (body, set) in [
-            (SIM_STYLE, MetricSet::Throughput),
+            (WORKLOADS_STYLE, MetricSet::Throughput),
             (SWEEP_STYLE, MetricSet::Throughput),
             (ATTRIB_STYLE, MetricSet::Decision),
         ] {
@@ -389,8 +389,8 @@ mod tests {
     #[test]
     fn unreadable_or_metricless_bodies_fail_the_comparison() {
         for (old, new, needle) in [
-            ("not json at all", SIM_STYLE, "baseline is not JSON"),
-            (SIM_STYLE, "{\"workloads\": [", "new run is not JSON"),
+            ("not json at all", WORKLOADS_STYLE, "baseline is not JSON"),
+            (WORKLOADS_STYLE, "{\"workloads\": [", "new run is not JSON"),
             (ATTRIB_STYLE, ATTRIB_STYLE, "baseline has no ops_per_sec/cells_per_sec metric"),
         ] {
             let diff = BenchDiff::compare(old, new, 0.10);
@@ -399,37 +399,27 @@ mod tests {
             assert!(diff.errors.iter().any(|e| e.contains(needle)), "{:?}", diff.errors);
             assert!(diff.report().contains(needle), "{}", diff.report());
         }
-        assert!(BenchDiff::compare(SIM_STYLE, SIM_STYLE, 0.10).errors.is_empty());
+        assert!(BenchDiff::compare(WORKLOADS_STYLE, WORKLOADS_STYLE, 0.10).errors.is_empty());
     }
 
     /// The key lists the line scraper this reader replaced extracted
     /// from the committed artifacts.
     #[test]
     fn committed_artifacts_yield_the_line_scraper_keys() {
-        let sim = [
-            "demand_walk", "prefetch_walk", "system_stream", "system_nextline",
-            "system_obscollector", "system_pmp", "on_access_pmp", "on_access_bingo",
-            "on_access_dspatch", "on_access_spp-ppf", "on_access_pythia", "on_access_sms",
-        ];
-        let core = [
+        let core: Vec<String> = [
             "merge", "halve", "extract_ane", "extract_are", "extract_afe", "pb_pop",
             "capture_on_load", "capture_on_evict", "arbitrate",
-        ];
-        let per_row = |rows: &[&str]| -> Vec<String> {
-            rows.iter().map(|r| format!("{r}/ops_per_sec")).collect()
-        };
+        ]
+        .iter()
+        .map(|r| format!("{r}/ops_per_sec"))
+        .collect();
         let origins = ["pmp/merged[0]@t0 g3", "pmp/merged[0]@t0 g4", "pmp/merged[0]@t0 g2"];
         let mut attrib: Vec<String> = ["ipc", "accuracy", "timeliness"].map(String::from).into();
         for o in origins {
             attrib.extend([format!("{o}/accuracy"), format!("{o}/timeliness")]);
         }
         for (body, set, expected) in [
-            (include_str!("../../../results/BENCH_sim.json"), MetricSet::Throughput, per_row(&sim)),
-            (
-                include_str!("../../../results/BENCH_core.json"),
-                MetricSet::Throughput,
-                per_row(&core),
-            ),
+            (include_str!("../../../results/BENCH_core.json"), MetricSet::Throughput, core),
             (
                 include_str!("../../../results/BENCH_sweep.json"),
                 MetricSet::Throughput,

@@ -1,7 +1,7 @@
 //! `bench_diff` — gate on the perf trajectory.
 //!
-//! Compares two `BENCH_*.json` files (either `BENCH_sim.json` from
-//! `sim_throughput` or `BENCH_sweep.json` from a telemetry-on sweep)
+//! Compares two `BENCH_*.json` files (`BENCH_core.json` from
+//! `core_kernels` or `BENCH_sweep.json` from a telemetry-on sweep)
 //! and exits nonzero when any throughput metric dropped past the
 //! threshold.
 //!

@@ -14,8 +14,7 @@
 //! wall-clock, ops/sec, per-prefetcher and per-archetype latency
 //! histograms, executed/resumed/failed counts, per-phase breakdown —
 //! lands in `results/BENCH_sweep.json` at the end of the run (resumed
-//! runs included), extending the perf trajectory `BENCH_sim.json`
-//! started. Compare two of them with the `bench_diff` bin.
+//! runs included). Compare two of them with the `bench_diff` bin.
 use pmp_bench::experiments::{ablation, headline, motivation, multicore, scale_from_env, sensitivity, storage};
 use pmp_bench::progress::{ProgressMode, ProgressReporter};
 use pmp_bench::{journal, telemetry};
@@ -76,7 +75,6 @@ fn main() {
     save("tab10_width_counter", ablation::tab10_width_counter(scale));
     save("tab11_monitor_range", ablation::tab11_monitor_range(scale));
     save("xp_extension", ablation::xp_extension(scale));
-    save("related_work", ablation::related_work(scale));
     save("placement", ablation::placement(scale));
 
     telemetry::phase("sensitivity");

@@ -270,42 +270,6 @@ pub fn placement(scale: TraceScale) -> String {
     )
 }
 
-/// **Related-work shootout** (paper §VI): the simple and historical
-/// prefetchers against PMP, with storage — quantifying the paper's
-/// qualitative discussion of constant-stride and delta-sequence
-/// designs.
-pub fn related_work(scale: TraceScale) -> String {
-    // The full catalog: family differences only show across the whole
-    // workload population (stride prefetchers trivially win on the
-    // stride-heavy representative subset).
-    let specs = pmp_traces::catalog();
-    let cfg = RunConfig { scale, ..RunConfig::default() };
-    let mut t = Table::new(&["prefetcher", "family", "NIPC", "KiB"]);
-    let rows: [(PrefetcherKind, &str); 10] = [
-        (PrefetcherKind::NextLine, "constant stride"),
-        (PrefetcherKind::Stride, "constant stride"),
-        (PrefetcherKind::Bop, "constant stride"),
-        (PrefetcherKind::Sandbox, "constant stride"),
-        (PrefetcherKind::Vldp, "delta sequence"),
-        (PrefetcherKind::Ghb, "history buffer"),
-        (PrefetcherKind::Isb, "temporal"),
-        (PrefetcherKind::SppPpf, "delta sequence"),
-        (PrefetcherKind::Sms, "bit vector"),
-        (PrefetcherKind::Pmp, "bit vector (merged)"),
-    ];
-    let kinds: Vec<PrefetcherKind> = rows.iter().map(|(k, _)| k.clone()).collect();
-    let (base, withs) = baseline_and(&specs, kinds, &cfg);
-    for ((kind, family), outs) in rows.into_iter().zip(withs) {
-        let (_, g) = normalized_ipcs(&base, &outs);
-        let kib = kind.build().storage_bits() as f64 / 8.0 / 1024.0;
-        t.row_owned(vec![kind.label(), family.into(), super::f3(g), format!("{kib:.1}")]);
-    }
-    format!(
-        "Related work (paper Section VI): pattern families compared\n(note: our synthetic corpus embeds more pure strides than SPEC, so\nconstant-stride designs are stronger here than the paper's discussion\nimplies; PMP still leads the pattern-table families at 4.3KB)\n\n{}",
-        t.render()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,4 @@
-//! Minimal timing harness for the microbenchmark bins
-//! (`sim_throughput`, `core_kernels`).
+//! Minimal timing harness for the `core_kernels` microbenchmark bin.
 //!
 //! The workspace carries no external bench framework; this module
 //! provides the small slice the bins need: a calibrated measurement

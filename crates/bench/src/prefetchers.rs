@@ -1,7 +1,7 @@
 //! The prefetcher registry: one enum naming every configuration the
 //! experiments run, buildable into a boxed [`Prefetcher`].
 
-use pmp_baselines::{Bingo, Bop, DsPatch, Ghb, Isb, Pythia, Sandbox, Sms, SppPpf, Vldp};
+use pmp_baselines::{Bingo, DsPatch, Pythia, Sms, SppPpf};
 use pmp_core::{DesignB, DesignBConfig, Pmp, PmpConfig};
 use pmp_prefetch::{
     AccessInfo, Introspect, NextLine, NoPrefetch, PlacedLow, Prefetcher, PrefetchRequest,
@@ -20,16 +20,6 @@ pub enum PrefetcherKind {
     Stride,
     /// Classic SMS.
     Sms,
-    /// Best-Offset prefetcher (related work, §VI-A).
-    Bop,
-    /// Sandbox prefetcher (related work, §VI-A).
-    Sandbox,
-    /// VLDP delta-sequence prefetcher (related work, §VI-B).
-    Vldp,
-    /// GHB G/DC history-buffer prefetcher (related work, §VI-C).
-    Ghb,
-    /// ISB temporal prefetcher (related work, §VI-C).
-    Isb,
     /// DSPatch (paper comparator).
     DsPatch,
     /// Enhanced Bingo (paper comparator).
@@ -80,11 +70,6 @@ impl PrefetcherKind {
             PrefetcherKind::NextLine => Box::new(NextLine::new(4)),
             PrefetcherKind::Stride => Box::new(StridePrefetcher::new(4)),
             PrefetcherKind::Sms => Box::<Sms>::default(),
-            PrefetcherKind::Bop => Box::<Bop>::default(),
-            PrefetcherKind::Sandbox => Box::<Sandbox>::default(),
-            PrefetcherKind::Vldp => Box::<Vldp>::default(),
-            PrefetcherKind::Ghb => Box::<Ghb>::default(),
-            PrefetcherKind::Isb => Box::<Isb>::default(),
             PrefetcherKind::DsPatch => Box::<DsPatch>::default(),
             PrefetcherKind::Bingo => Box::<Bingo>::default(),
             PrefetcherKind::BingoAtLlc => {
@@ -166,11 +151,6 @@ impl PrefetcherKind {
             PrefetcherKind::NextLine => "next-line".into(),
             PrefetcherKind::Stride => "ip-stride".into(),
             PrefetcherKind::Sms => "sms".into(),
-            PrefetcherKind::Bop => "bop".into(),
-            PrefetcherKind::Sandbox => "sandbox".into(),
-            PrefetcherKind::Vldp => "vldp".into(),
-            PrefetcherKind::Ghb => "ghb".into(),
-            PrefetcherKind::Isb => "isb".into(),
             PrefetcherKind::DsPatch => "dspatch".into(),
             PrefetcherKind::Bingo => "bingo".into(),
             PrefetcherKind::BingoAtLlc => "bingo@llc".into(),
@@ -188,16 +168,11 @@ impl PrefetcherKind {
 
     /// Every kind addressable by label, in registry order: all but the
     /// parameterised ones (Design B, custom configs, fault mocks).
-    pub const LABELLED: [PrefetcherKind; 18] = [
+    pub const LABELLED: [PrefetcherKind; 13] = [
         PrefetcherKind::None,
         PrefetcherKind::NextLine,
         PrefetcherKind::Stride,
         PrefetcherKind::Sms,
-        PrefetcherKind::Bop,
-        PrefetcherKind::Sandbox,
-        PrefetcherKind::Vldp,
-        PrefetcherKind::Ghb,
-        PrefetcherKind::Isb,
         PrefetcherKind::DsPatch,
         PrefetcherKind::Bingo,
         PrefetcherKind::BingoAtLlc,
@@ -252,30 +227,12 @@ mod tests {
 
     #[test]
     fn all_kinds_build() {
-        let kinds = [
-            PrefetcherKind::None,
-            PrefetcherKind::NextLine,
-            PrefetcherKind::Stride,
-            PrefetcherKind::Sms,
-            PrefetcherKind::Bop,
-            PrefetcherKind::Sandbox,
-            PrefetcherKind::Vldp,
-            PrefetcherKind::Ghb,
-            PrefetcherKind::Isb,
-            PrefetcherKind::DsPatch,
-            PrefetcherKind::Bingo,
-            PrefetcherKind::BingoAtLlc,
-            PrefetcherKind::SppPpf,
-            PrefetcherKind::Pythia,
-            PrefetcherKind::Pmp,
-            PrefetcherKind::PmpLimit,
-            PrefetcherKind::PmpXp,
-            PrefetcherKind::PmpAdaptive,
+        let parameterised = [
             PrefetcherKind::DesignB(8),
             PrefetcherKind::PmpCustom(Box::default()),
             PrefetcherKind::FaultyPanicAfter(10),
         ];
-        for k in kinds {
+        for k in PrefetcherKind::LABELLED.into_iter().chain(parameterised) {
             let p = k.build();
             assert!(!p.name().is_empty());
             assert!(!k.label().is_empty());

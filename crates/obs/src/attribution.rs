@@ -31,8 +31,8 @@
 //!
 //! Attribution off = [`NullTracer`](crate::NullTracer): the recorder is
 //! just another tracer, so the zero-cost-off guarantee of the tracing
-//! layer applies unchanged (verified by `bench_diff` against the
-//! committed `BENCH_sim.json`).
+//! layer applies unchanged (perfbench's `trace_overhead_frac` reports
+//! what a traced run costs over the plain one).
 
 use std::collections::HashMap;
 
@@ -569,7 +569,7 @@ mod tests {
     #[test]
     fn fates_partition_issued() {
         let mut r = FlightRecorder::new();
-        let o = Origin::Bop { offset: 2 };
+        let o = Origin::Offset { delta: 2 };
         // useful
         admit(&mut r, 1, o);
         r.emit(TraceEvent::PrefetchUseful {
@@ -797,7 +797,7 @@ mod tests {
     #[test]
     fn introspect_exposes_fate_gauges() {
         let mut r = FlightRecorder::new();
-        admit(&mut r, 1, Origin::Bop { offset: 1 });
+        admit(&mut r, 1, Origin::Offset { delta: 1 });
         r.finalize();
         let mut g = Vec::new();
         r.gauges(&mut g);

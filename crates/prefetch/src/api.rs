@@ -243,7 +243,7 @@ mod tests {
         let tagged = PrefetchRequest::with_provenance(
             LineAddr(7),
             CacheLevel::L1D,
-            Provenance::of(Origin::Bop { offset: 4 }),
+            Provenance::of(Origin::Offset { delta: 4 }),
         );
         assert_eq!(plain, tagged);
         let h = |r: &PrefetchRequest| {

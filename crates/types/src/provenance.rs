@@ -2,7 +2,7 @@
 //!
 //! Aggregate counters (`pf_useful`, `pf_useless`, …) say how a
 //! prefetcher performs overall; they cannot say *which pattern-table
-//! entry*, *which SPP signature*, or *which BOP offset* earned or lost
+//! entry*, *which SPP signature*, or *which DSPatch bitmap* earned or lost
 //! that accuracy. [`Provenance`] is the small `Copy` tag a prefetcher
 //! attaches to each candidate it emits so the observability layer can
 //! attribute every downstream fate (admission, drop, fill, demand hit,
@@ -75,11 +75,6 @@ pub enum Origin {
         /// Lookahead depth (0 = direct prediction).
         depth: u8,
     },
-    /// BOP: the best offset that was active when the request fired.
-    Bop {
-        /// Current best offset, in lines.
-        offset: i16,
-    },
     /// DSPatch: which of the two stored bitmaps drove the replay.
     DsPatch {
         /// `true` = AccP (accuracy-optimized), `false` = CovP
@@ -101,7 +96,6 @@ impl Origin {
             Origin::None => "untagged",
             Origin::Pmp { .. } => "pmp",
             Origin::Spp { .. } => "spp",
-            Origin::Bop { .. } => "bop",
             Origin::DsPatch { .. } => "dspatch",
             Origin::Offset { .. } => "offset",
         }
@@ -121,7 +115,6 @@ impl Origin {
             Origin::Spp { signature, depth } => {
                 format!("spp/0x{:04x} d{}", signature, depth)
             }
-            Origin::Bop { offset } => format!("bop/{:+}", offset),
             Origin::DsPatch { accp } => {
                 if accp {
                     "dspatch/accp".to_string()
@@ -192,7 +185,7 @@ mod tests {
         };
         assert_eq!(b.describe(), "spp/0x1a2b d2");
         assert_ne!(a.describe(), b.describe());
-        assert_eq!(Origin::Bop { offset: -3 }.describe(), "bop/-3");
+        assert_eq!(Origin::Offset { delta: -3 }.describe(), "offset/-3");
         assert_eq!(Origin::DsPatch { accp: true }.describe(), "dspatch/accp");
         assert_eq!(Origin::Offset { delta: 1 }.describe(), "offset/+1");
     }
@@ -206,6 +199,6 @@ mod tests {
     #[test]
     fn family_tags() {
         assert_eq!(Origin::None.family(), "untagged");
-        assert_eq!(Origin::Bop { offset: 1 }.family(), "bop");
+        assert_eq!(Origin::Offset { delta: 1 }.family(), "offset");
     }
 }

@@ -4,54 +4,21 @@
 //! `finalize()`, every issued prefetch resolves to exactly ONE fate
 //! (`useful + late_useful + evicted_unused + dead_at_end + dropped_pq
 //! + dropped_mshr + redundant == pf_issued`) — for every prefetcher
-//! kind in the registry, over randomized traces, and under tiny-queue
+//! kind in the registry and a random-line stream no real prefetcher
+//! produces, over randomized traces, and under tiny-queue
 //! backpressure that forces both drop paths. It also promises to be
 //! pure observation: attaching the recorder must not change a single
 //! simulated bit relative to the `NullTracer` run.
 
-use pmp_bench::prefetchers::PrefetcherKind;
+mod common;
+
+use common::{all_subjects, random_trace, tiny_queue_subjects, tiny_queues, Subject};
 use pmp_obs::{Fate, FlightRecorder, ObsCollector, RingRecorder};
 use pmp_sim::{System, SystemConfig};
-use pmp_types::{Addr, MemAccess, Pc, Rng64, TraceOp};
-
-/// Same randomized trace shape as `prefetch_conservation.rs`: strided
-/// streams, region-local noise, and stores, so every kind both trains
-/// and misfires.
-fn random_trace(rng: &mut Rng64, n: usize) -> Vec<TraceOp> {
-    let mut ops = Vec::with_capacity(n);
-    let mut base = 0x40_0000u64;
-    let mut stride = 64u64;
-    for _ in 0..n {
-        match rng.gen_range(0..10u32) {
-            0 => {
-                base = 0x40_0000 + rng.gen_range(0..512u64) * 4096;
-                stride = [64u64, 128, 192, 320][rng.gen_range(0..4u32) as usize];
-            }
-            1..=2 => {
-                let addr = base + rng.gen_range(0..64u64) * 64;
-                ops.push(TraceOp::new(MemAccess::load(Pc(0x500), Addr(addr)), 1, false));
-            }
-            3 => {
-                ops.push(TraceOp::new(MemAccess::store(Pc(0x504), Addr(base)), 1, false));
-            }
-            _ => {
-                base = base.wrapping_add(stride);
-                let dep = rng.gen_range(0..4u32) == 0;
-                ops.push(TraceOp::new(MemAccess::load(Pc(0x508), Addr(base)), 2, dep));
-            }
-        }
-    }
-    ops
-}
-
-/// Every kind the registry names by label, plus Design B (which takes
-/// a parameter).
-fn all_kinds() -> Vec<PrefetcherKind> {
-    PrefetcherKind::LABELLED.into_iter().chain([PrefetcherKind::DesignB(8)]).collect()
-}
+use pmp_types::{Rng64, TraceOp};
 
 /// Run `kind` with the recorder attached and assert the partition law.
-fn assert_partition(cfg: &SystemConfig, ops: &[TraceOp], kind: &PrefetcherKind) -> [u64; 7] {
+fn assert_partition(cfg: &SystemConfig, ops: &[TraceOp], kind: &Subject) -> [u64; 7] {
     let mut sys = System::with_tracer(cfg.clone(), kind.build(), FlightRecorder::new());
     let r = sys.run(ops, 0);
     let rec = sys.tracer_mut();
@@ -86,7 +53,7 @@ fn every_kind_partitions_issued_prefetches_into_fates() {
     let cfg = SystemConfig::single_core();
     for _case in 0..2u64 {
         let ops = random_trace(&mut rng, 4000);
-        for kind in all_kinds() {
+        for kind in all_subjects() {
             assert_partition(&cfg, &ops, &kind);
         }
     }
@@ -94,20 +61,14 @@ fn every_kind_partitions_issued_prefetches_into_fates() {
 
 #[test]
 fn tiny_queues_force_both_drop_fates() {
-    let mut cfg = SystemConfig::single_core();
-    cfg.l1d.mshrs = 3;
-    cfg.l1d.pq_entries = 2;
-    cfg.l2c.mshrs = 3;
-    cfg.l2c.pq_entries = 2;
-    cfg.llc.mshrs = 4;
-    cfg.llc.pq_entries = 2;
-    // Same seed as `conservation_survives_tiny_queues`: this trace is
-    // known to push all three kinds into the drop paths.
+    let cfg = tiny_queues();
+    // Same seed as `conservation_survives_tiny_queues`: this trace
+    // pushes all three subjects into the drop paths.
     let mut rng = Rng64::seed_from_u64(0xB0B0_BEEF);
     let ops = random_trace(&mut rng, 4000);
     let mut saw_pq = false;
     let mut saw_mshr = false;
-    for kind in [PrefetcherKind::NextLine, PrefetcherKind::Vldp, PrefetcherKind::Pmp] {
+    for kind in tiny_queue_subjects() {
         let totals = assert_partition(&cfg, &ops, &kind);
         saw_pq |= totals[Fate::DroppedPq as usize] > 0;
         saw_mshr |= totals[Fate::DroppedMshr as usize] > 0;
@@ -126,7 +87,7 @@ fn attribution_on_is_bit_identical_to_attribution_off() {
     let mut rng = Rng64::seed_from_u64(0xFA7E_0003);
     let ops = random_trace(&mut rng, 4000);
     let cfg = SystemConfig::single_core();
-    for kind in all_kinds() {
+    for kind in all_subjects() {
         // Off: the default NullTracer path every existing caller uses.
         let mut plain = System::new(cfg.clone(), kind.build());
         let a = plain.run(&ops, 0);

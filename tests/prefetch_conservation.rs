@@ -1,6 +1,7 @@
 //! Prefetch-accounting conservation laws, property-style.
 //!
-//! Over randomized traces and every prefetcher kind in the registry,
+//! Over randomized traces, every prefetcher kind in the registry and a
+//! random-line stream no real prefetcher produces,
 //! the admission pipeline must conserve requests
 //! (`pf_issued == pf_admitted + pf_dropped + pf_redundant`) and each
 //! level's outcome attribution must stay within its fills
@@ -8,74 +9,18 @@
 //! prefetch marker, which resolves to useful at the first demand hit or
 //! useless at eviction/back-invalidation, never both).
 
-use pmp_bench::prefetchers::PrefetcherKind;
+mod common;
+
+use common::{all_subjects, random_trace, tiny_queue_subjects, tiny_queues};
 use pmp_sim::{System, SystemConfig};
-use pmp_types::{Addr, CacheLevel, MemAccess, Pc, Rng64, TraceOp};
-
-/// Randomized trace mixing strided streams, region-local pointer
-/// chases, and stores — enough structure that every prefetcher both
-/// trains and misfires.
-fn random_trace(rng: &mut Rng64, n: usize) -> Vec<TraceOp> {
-    let mut ops = Vec::with_capacity(n);
-    let mut base = 0x40_0000u64;
-    let mut stride = 64u64;
-    for _ in 0..n {
-        match rng.gen_range(0..10u32) {
-            0 => {
-                // Jump to a fresh region and pick a new stride.
-                base = 0x40_0000 + rng.gen_range(0..512u64) * 4096;
-                stride = [64u64, 128, 192, 320][rng.gen_range(0..4u32) as usize];
-            }
-            1..=2 => {
-                // Random access within the current region's page.
-                let addr = base + rng.gen_range(0..64u64) * 64;
-                ops.push(TraceOp::new(MemAccess::load(Pc(0x500), Addr(addr)), 1, false));
-            }
-            3 => {
-                // Store to the current position.
-                ops.push(TraceOp::new(MemAccess::store(Pc(0x504), Addr(base)), 1, false));
-            }
-            _ => {
-                // Strided stream step (the common case).
-                base = base.wrapping_add(stride);
-                let dep = rng.gen_range(0..4u32) == 0;
-                ops.push(TraceOp::new(MemAccess::load(Pc(0x508), Addr(base)), 2, dep));
-            }
-        }
-    }
-    ops
-}
-
-fn all_kinds() -> Vec<PrefetcherKind> {
-    vec![
-        PrefetcherKind::None,
-        PrefetcherKind::NextLine,
-        PrefetcherKind::Stride,
-        PrefetcherKind::Sms,
-        PrefetcherKind::Bop,
-        PrefetcherKind::Sandbox,
-        PrefetcherKind::Vldp,
-        PrefetcherKind::Ghb,
-        PrefetcherKind::Isb,
-        PrefetcherKind::DsPatch,
-        PrefetcherKind::Bingo,
-        PrefetcherKind::BingoAtLlc,
-        PrefetcherKind::SppPpf,
-        PrefetcherKind::Pythia,
-        PrefetcherKind::Pmp,
-        PrefetcherKind::PmpLimit,
-        PrefetcherKind::PmpXp,
-        PrefetcherKind::PmpAdaptive,
-        PrefetcherKind::DesignB(8),
-    ]
-}
+use pmp_types::{CacheLevel, Rng64};
 
 #[test]
 fn prefetch_counters_conserve_over_random_traces() {
     let mut rng = Rng64::seed_from_u64(0x5EED_CAFE);
     for case in 0..3u64 {
         let ops = random_trace(&mut rng, 4000);
-        for kind in all_kinds() {
+        for kind in all_subjects() {
             let mut sys = System::new(SystemConfig::single_core(), kind.build());
             let r = sys.run(&ops, 0);
             let s = &r.stats;
@@ -116,16 +61,10 @@ fn prefetch_counters_conserve_over_random_traces() {
 /// outer-level MSHR admission check — to fire constantly.
 #[test]
 fn conservation_survives_tiny_queues() {
-    let mut cfg = SystemConfig::single_core();
-    cfg.l1d.mshrs = 3;
-    cfg.l1d.pq_entries = 2;
-    cfg.l2c.mshrs = 3;
-    cfg.l2c.pq_entries = 2;
-    cfg.llc.mshrs = 4;
-    cfg.llc.pq_entries = 2;
+    let cfg = tiny_queues();
     let mut rng = Rng64::seed_from_u64(0xB0B0_BEEF);
     let ops = random_trace(&mut rng, 4000);
-    for kind in [PrefetcherKind::NextLine, PrefetcherKind::Vldp, PrefetcherKind::Pmp] {
+    for kind in tiny_queue_subjects() {
         let mut sys = System::new(cfg.clone(), kind.build());
         let r = sys.run(&ops, 0);
         let s = &r.stats;
