@@ -74,7 +74,6 @@ fn main() {
     save("tab9_pattern_len", ablation::tab9_pattern_len(scale));
     save("tab10_width_counter", ablation::tab10_width_counter(scale));
     save("tab11_monitor_range", ablation::tab11_monitor_range(scale));
-    save("xp_extension", ablation::xp_extension(scale));
     save("placement", ablation::placement(scale));
 
     telemetry::phase("sensitivity");

@@ -216,36 +216,6 @@ pub fn tab11_monitor_range(scale: TraceScale) -> String {
     )
 }
 
-/// **Extension study** (not in the paper — its future work): stock PMP
-/// vs PMP-XP (cross-page next-region prediction) vs PMP-Limit, with
-/// traffic cost.
-pub fn xp_extension(scale: TraceScale) -> String {
-    let specs = sweep_config();
-    let cfg = RunConfig { scale, ..RunConfig::default() };
-    let kinds = vec![
-        PrefetcherKind::Pmp,
-        PrefetcherKind::PmpXp,
-        PrefetcherKind::PmpAdaptive,
-        PrefetcherKind::PmpLimit,
-    ];
-    let (base, withs) = baseline_and(&specs, kinds.clone(), &cfg);
-    let base_dram: u64 = base.iter().map(|o| o.result.stats.dram_requests).sum();
-    let mut t = Table::new(&["configuration", "NIPC", "NMT"]);
-    for (kind, outs) in kinds.iter().zip(withs) {
-        let (_, g) = normalized_ipcs(&base, &outs);
-        let dram: u64 = outs.iter().map(|o| o.result.stats.dram_requests).sum();
-        t.row_owned(vec![
-            kind.label(),
-            super::f3(g),
-            super::pct(dram as f64 / base_dram as f64),
-        ]);
-    }
-    format!(
-        "Extensions: cross-page prefetching and adaptive thresholds (paper future work)\n(expected: PMP-XP gains on region-crossing streams/walks; PMP-A trades a little peak NIPC for less traffic on hostile workloads)\n\n{}",
-        t.render()
-    )
-}
-
 /// **Placement study** (Section V-B's aside): "PMP (at L1) outperforms
 /// the original Bingo at LLC by 16.5%" — heavyweight prefetchers are
 /// realistic only at outer levels, where they see less and help less.

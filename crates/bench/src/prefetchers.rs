@@ -35,10 +35,6 @@ pub enum PrefetcherKind {
     Pmp,
     /// PMP-Limit (low-level prefetch degree 1).
     PmpLimit,
-    /// PMP-XP: the cross-page future-work extension.
-    PmpXp,
-    /// PMP-A: feedback-adaptive L1D threshold extension.
-    PmpAdaptive,
     /// Design B with the given associativity (Table VIII).
     DesignB(usize),
     /// PMP with a custom configuration (parameter sweeps/ablations).
@@ -79,8 +75,6 @@ impl PrefetcherKind {
             PrefetcherKind::Pythia => Box::<Pythia>::default(),
             PrefetcherKind::Pmp => Box::new(Pmp::new(PmpConfig::default())),
             PrefetcherKind::PmpLimit => Box::new(Pmp::new(PmpConfig::pmp_limit())),
-            PrefetcherKind::PmpXp => Box::new(Pmp::new(PmpConfig::cross_page())),
-            PrefetcherKind::PmpAdaptive => Box::new(Pmp::new(PmpConfig::adaptive())),
             PrefetcherKind::DesignB(ways) => Box::new(DesignB::new(DesignBConfig {
                 ways: *ways,
                 ..DesignBConfig::default()
@@ -158,8 +152,6 @@ impl PrefetcherKind {
             PrefetcherKind::Pythia => "pythia".into(),
             PrefetcherKind::Pmp => "pmp".into(),
             PrefetcherKind::PmpLimit => "pmp-limit".into(),
-            PrefetcherKind::PmpXp => "pmp-xp".into(),
-            PrefetcherKind::PmpAdaptive => "pmp-adaptive".into(),
             PrefetcherKind::DesignB(w) => format!("design-b/{w}w"),
             PrefetcherKind::PmpCustom(_) => "pmp-custom".into(),
             PrefetcherKind::FaultyPanicAfter(n) => format!("faulty-panic/{n}"),
@@ -168,7 +160,7 @@ impl PrefetcherKind {
 
     /// Every kind addressable by label, in registry order: all but the
     /// parameterised ones (Design B, custom configs, fault mocks).
-    pub const LABELLED: [PrefetcherKind; 13] = [
+    pub const LABELLED: [PrefetcherKind; 11] = [
         PrefetcherKind::None,
         PrefetcherKind::NextLine,
         PrefetcherKind::Stride,
@@ -180,8 +172,6 @@ impl PrefetcherKind {
         PrefetcherKind::Pythia,
         PrefetcherKind::Pmp,
         PrefetcherKind::PmpLimit,
-        PrefetcherKind::PmpXp,
-        PrefetcherKind::PmpAdaptive,
     ];
 
     /// Parse a display label (or one of the aliases `none`, `stride`,

@@ -45,14 +45,12 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod adaptive;
 pub mod arbiter;
 pub mod buffer;
 pub mod capture;
 #[cfg(test)]
 mod capture_ref;
 pub mod counter_vec;
-pub mod cross_page;
 pub mod design_b;
 pub mod extract;
 pub(crate) mod lanes;
@@ -61,10 +59,8 @@ pub mod pmp;
 mod swar_ref;
 pub mod tables;
 
-pub use adaptive::ThresholdController;
 pub use capture::{CaptureConfig, CapturedPattern, PatternCapture, TriggerEvent};
 pub use counter_vec::CounterVector;
-pub use cross_page::NextRegionPredictor;
 pub use design_b::{DesignB, DesignBConfig};
 pub use extract::ExtractionScheme;
 pub use pmp::{Pmp, PmpConfig};

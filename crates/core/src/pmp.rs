@@ -14,10 +14,8 @@
 //!    free entries — nearest-first to the current line — and resumes on
 //!    subsequent loads to the same region.
 
-use crate::adaptive::ThresholdController;
 use crate::arbiter::arbitrate;
 use crate::buffer::PrefetchBuffer;
-use crate::cross_page::NextRegionPredictor;
 use crate::capture::{CaptureConfig, CapturedPattern, PatternCapture};
 use crate::extract::ExtractionScheme;
 use crate::lanes::CounterTable;
@@ -69,14 +67,6 @@ pub struct PmpConfig {
     pub low_level_degree: Option<usize>,
     /// Table organisation (default dual).
     pub table_mode: TableMode,
-    /// Cross-page extension (this reproduction's future-work feature,
-    /// off by default — the paper's PMP never crosses pages): a
-    /// next-region predictor speculatively parks a downgraded pattern
-    /// for the predicted upcoming region.
-    pub cross_page: bool,
-    /// Feedback-adaptive L1D threshold (extension, off by default —
-    /// the paper fixes T_l1d at 50%).
-    pub adaptive: bool,
 }
 
 impl Default for PmpConfig {
@@ -92,8 +82,6 @@ impl Default for PmpConfig {
             pb_entries: 16,
             low_level_degree: None,
             table_mode: TableMode::Dual,
-            cross_page: false,
-            adaptive: false,
         }
     }
 }
@@ -102,16 +90,6 @@ impl PmpConfig {
     /// The paper's PMP-Limit: low-level prefetch degree 1 (Section V-D).
     pub fn pmp_limit() -> Self {
         PmpConfig { low_level_degree: Some(1), ..PmpConfig::default() }
-    }
-
-    /// PMP-XP: the cross-page future-work extension enabled.
-    pub fn cross_page() -> Self {
-        PmpConfig { cross_page: true, ..PmpConfig::default() }
-    }
-
-    /// PMP-A: the feedback-adaptive-threshold extension enabled.
-    pub fn adaptive() -> Self {
-        PmpConfig { adaptive: true, ..PmpConfig::default() }
     }
 
     /// PMP-32 / PMP-16: shrink the tracked regions (Table IX).
@@ -428,8 +406,6 @@ pub struct Pmp {
     capture: PatternCapture,
     tables: Tables,
     buffer: PrefetchBuffer,
-    next_region: NextRegionPredictor,
-    controller: ThresholdController,
     obs: ObsCounters,
 }
 
@@ -443,25 +419,9 @@ impl Pmp {
             capture,
             tables,
             buffer,
-            next_region: NextRegionPredictor::default(),
-            controller: ThresholdController::default(),
             obs: ObsCounters::default(),
             cfg,
         }
-    }
-
-    /// The extraction scheme currently in force (adaptive mode swaps
-    /// the L1D threshold in and out).
-    fn scheme(&self) -> ExtractionScheme {
-        if self.cfg.adaptive {
-            if let ExtractionScheme::AccessFrequency { t_l2c, .. } = self.cfg.scheme {
-                return ExtractionScheme::AccessFrequency {
-                    t_l1d: self.controller.t_l1d(),
-                    t_l2c,
-                };
-            }
-        }
-        self.cfg.scheme
     }
 
     /// The configuration in use.
@@ -501,7 +461,7 @@ impl Pmp {
     /// The gauge name for extraction counts under the active scheme
     /// (the paper's ANE / ARE / AFE naming, Section V-E2).
     fn extraction_gauge_name(&self) -> &'static str {
-        match self.scheme() {
+        match self.cfg.scheme {
             ExtractionScheme::AccessNumber { .. } => "ane_extractions",
             ExtractionScheme::AccessRatio { .. } => "are_extractions",
             ExtractionScheme::AccessFrequency { .. } => "afe_extractions",
@@ -524,20 +484,11 @@ impl Introspect for Pmp {
         out.push(Gauge::new("pattern_hit_rate", hit_rate));
         out.push(Gauge::new(self.extraction_gauge_name(), self.obs.extracted_targets as f64));
         out.push(Gauge::new("pb_occupancy", self.buffer.occupancy() as f64));
-        if self.cfg.adaptive {
-            out.push(Gauge::new("adaptive_t_l1d", self.controller.t_l1d()));
-        }
     }
 }
 
 impl Prefetcher for Pmp {
     fn name(&self) -> &'static str {
-        if self.cfg.cross_page {
-            return "pmp-xp";
-        }
-        if self.cfg.adaptive {
-            return "pmp-adaptive";
-        }
         match (self.cfg.table_mode, self.cfg.low_level_degree) {
             (TableMode::Dual, None) => "pmp",
             (TableMode::Dual, Some(_)) => "pmp-limit",
@@ -562,45 +513,14 @@ impl Prefetcher for Pmp {
 
         // 2. On a trigger access, predict and park the final pattern.
         if let Some(trig) = outcome.trigger {
-            let scheme = self.scheme();
             let pattern =
-                self.tables.predict(line, pc, &scheme, self.cfg.monitoring_range);
+                self.tables.predict(line, pc, &self.cfg.scheme, self.cfg.monitoring_range);
             self.obs.lookups += 1;
             if !pattern.is_empty() {
                 self.obs.pattern_hits += 1;
                 self.obs.extracted_targets += pattern.count() as u64;
                 let origin = self.origin_for(line, pc, trig.offset);
                 self.buffer.insert_with_origin(trig.region, trig.offset, pattern, origin);
-            }
-            // Cross-page extension: when the next-region predictor is
-            // confident, park a downgraded pattern for the region we
-            // expect to enter next, keyed by its expected trigger.
-            if self.cfg.cross_page {
-                if let Some((next_region, next_off)) =
-                    self.next_region.observe(trig.region, trig.offset)
-                {
-                    if next_region != trig.region {
-                        let next_line = geom.line_of(next_region, next_off);
-                        let spec = self.tables.predict(
-                            next_line,
-                            pc,
-                            &scheme,
-                            self.cfg.monitoring_range,
-                        );
-                        let mut down = pmp_types::PrefetchPattern::new(spec.len());
-                        for (o, l) in spec.iter_targets() {
-                            down.set(o, l.downgraded());
-                        }
-                        // The speculative pattern omits its own trigger
-                        // line: anchored offset 0, which extraction never
-                        // selects, is left to the demand access that
-                        // opens the region.
-                        if !down.is_empty() {
-                            let origin = self.origin_for(next_line, pc, next_off);
-                            self.buffer.insert_with_origin(next_region, next_off, down, origin);
-                        }
-                    }
-                }
             }
         }
 
@@ -614,20 +534,6 @@ impl Prefetcher for Pmp {
         }
     }
 
-    fn on_feedback(&mut self, _line: pmp_types::LineAddr, kind: pmp_prefetch::FeedbackKind) {
-        if self.cfg.adaptive {
-            match kind {
-                pmp_prefetch::FeedbackKind::Useful => {
-                    self.controller.record(true);
-                }
-                pmp_prefetch::FeedbackKind::Useless => {
-                    self.controller.record(false);
-                }
-                pmp_prefetch::FeedbackKind::Dropped => {}
-            }
-        }
-    }
-
     /// Total storage (Table III): capture framework + pattern tables +
     /// prefetch buffer. The default configuration totals ≈4.3KB.
     fn storage_bits(&self) -> u64 {
@@ -635,8 +541,8 @@ impl Prefetcher for Pmp {
     }
 
     /// Serialize every learned structure — capture framework, pattern
-    /// tables, prefetch buffer, next-region predictor, threshold
-    /// controller, and observability counters — into named sections.
+    /// tables, prefetch buffer and observability counters — into named
+    /// sections.
     fn save_state(&self) -> Result<StateImage, SnapshotError> {
         let fp = config_fingerprint(&format!("{:?}", self.cfg));
         let mut img = StateImage::new(self.name(), fp);
@@ -649,12 +555,6 @@ impl Prefetcher for Pmp {
         let mut w = ByteWriter::new();
         self.buffer.encode_state(&mut w);
         img.push_section("buffer", w.into_bytes());
-        let mut w = ByteWriter::new();
-        self.next_region.encode_state(&mut w);
-        img.push_section("next_region", w.into_bytes());
-        let mut w = ByteWriter::new();
-        self.controller.encode_state(&mut w);
-        img.push_section("controller", w.into_bytes());
         let mut w = ByteWriter::new();
         self.obs.encode_state(&mut w);
         img.push_section("obs", w.into_bytes());
@@ -693,20 +593,12 @@ impl Prefetcher for Pmp {
             "section buffer",
         )?;
         r.finish()?;
-        let mut r = ByteReader::new(image.section("next_region")?, "section next_region");
-        let next_region = NextRegionPredictor::decode_state(&mut r, "section next_region")?;
-        r.finish()?;
-        let mut r = ByteReader::new(image.section("controller")?, "section controller");
-        let controller = ThresholdController::decode_state(&mut r, "section controller")?;
-        r.finish()?;
         let mut r = ByteReader::new(image.section("obs")?, "section obs");
         let obs = ObsCounters::decode_state(&mut r, "section obs")?;
         r.finish()?;
         self.capture = capture;
         self.tables = tables;
         self.buffer = buffer;
-        self.next_region = next_region;
-        self.controller = controller;
         self.obs = obs;
         Ok(())
     }
@@ -947,8 +839,6 @@ mod tests {
         for cfg in [
             PmpConfig::default(),
             PmpConfig::pmp_limit(),
-            PmpConfig::cross_page(),
-            PmpConfig::adaptive(),
             PmpConfig { table_mode: TableMode::OptOnly, ..PmpConfig::default() },
             PmpConfig { table_mode: TableMode::PptOnly, ..PmpConfig::default() },
             PmpConfig { table_mode: TableMode::Combined, ..PmpConfig::default() },

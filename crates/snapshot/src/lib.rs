@@ -125,7 +125,8 @@ fn take_str(
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Corrupt`] for any malformed byte;
+/// [`SnapshotError::Corrupt`] for any malformed byte or a section name
+/// that appears twice;
 /// [`SnapshotError::VersionMismatch`] for a foreign format version.
 pub fn decode_image(bytes: &[u8]) -> Result<StateImage, SnapshotError> {
     let mut hdr = pmp_types::ByteReader::new(bytes, CTX);
@@ -162,6 +163,12 @@ pub fn decode_image(bytes: &[u8]) -> Result<StateImage, SnapshotError> {
     let mut image = StateImage::new(kind, config_fingerprint);
     for _ in 0..section_count {
         let name = take_str(&mut r, "section name")?;
+        if image.sections.iter().any(|s| s.name == name) {
+            return Err(SnapshotError::corrupt(
+                CTX,
+                format!("section {name} appears twice"),
+            ));
+        }
         let payload_len = r.take_u32()? as usize;
         if payload_len > r.remaining() {
             return Err(SnapshotError::corrupt(
@@ -404,6 +411,17 @@ mod tests {
         let crc = crc32(&bytes[..len - 4]);
         bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
         let err = decode_image(&bytes).expect_err("hostile length");
+        assert_eq!(err.kind_tag(), "corrupt");
+        assert!(err.to_string().contains("alpha"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_section_name_is_rejected() {
+        // Section names are unique within an image; a second "alpha"
+        // would otherwise be shadowed by the first on lookup.
+        let mut img = sample_image();
+        img.push_section("alpha", vec![9, 9]);
+        let err = decode_image(&encode_image(&img)).expect_err("duplicate section");
         assert_eq!(err.kind_tag(), "corrupt");
         assert!(err.to_string().contains("alpha"), "{err}");
     }

@@ -253,11 +253,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append a little-endian i64.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append an f64 as its little-endian bit pattern (bit-exact round
     /// trip; restores must be bit-identical, not approximately equal).
     pub fn put_f64(&mut self, v: f64) {
@@ -367,15 +362,6 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
-    /// Take a little-endian i64.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Corrupt`] on truncation.
-    pub fn take_i64(&mut self) -> Result<i64, SnapshotError> {
-        Ok(self.take_u64()? as i64)
-    }
-
     /// Take an f64 from its little-endian bit pattern.
     ///
     /// # Errors
@@ -414,7 +400,6 @@ mod tests {
         w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 3);
-        w.put_i64(-42);
         w.put_f64(0.15625);
         w.put_bytes(b"tail");
         let bytes = w.into_bytes();
@@ -424,7 +409,6 @@ mod tests {
         assert_eq!(r.take_u16().unwrap(), 0xBEEF);
         assert_eq!(r.take_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.take_u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.take_i64().unwrap(), -42);
         assert_eq!(r.take_f64().unwrap(), 0.15625);
         assert_eq!(r.take_bytes(4).unwrap(), b"tail");
         r.finish().unwrap();

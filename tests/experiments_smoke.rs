@@ -76,8 +76,6 @@ fn ablation_reports() {
 
 #[test]
 fn extension_and_placement_reports() {
-    let x = ablation::xp_extension(SCALE);
-    assert!(x.contains("pmp-xp") && x.contains("pmp-adaptive"));
     let p = ablation::placement(SCALE);
     assert!(p.contains("bingo@llc"));
 }

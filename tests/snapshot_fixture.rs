@@ -1,21 +1,28 @@
-//! Wire-format pin for PMP snapshots: a golden fixture written by the
-//! pre-SWAR (`Vec<u16>`) encoder must keep decoding — and re-encoding —
-//! byte-identically under the packed counter-vector layout.
+//! Wire-format pin for PMP snapshots: a golden fixture must keep
+//! decoding — and re-encoding — byte-identically.
 //!
-//! The fixture at `tests/fixtures/pmp_trained_v1.pmps` is the full
+//! The fixture at `tests/fixtures/pmp_trained_v2.pmps` is the full
 //! snapshot container (magic/version/CRCs) for a deterministically
-//! trained default-config PMP. It was generated once, before the
-//! bit-parallel counter rework landed, by the `regenerate_fixture`
-//! helper below; it is committed and must never be regenerated unless
-//! the wire format is *deliberately* revved (in which case bump the
-//! file name's version suffix and say so in ARCHITECTURE.md).
+//! trained default-config PMP. Its `capture`, `tables`, `buffer` and
+//! `obs` payloads are byte-identical to those of the v1 fixture it
+//! replaced, which the pre-SWAR (`Vec<u16>`) encoder wrote, so the
+//! packed counter-vector layout is still pinned against the scalar
+//! encoder's bytes. v2 differs from v1 only in the config fingerprint
+//! (`PmpConfig` lost the switches of PMP's two future-work extensions,
+//! cross-page prefetching and the adaptive L1D threshold), the two
+//! sections those extensions kept, and the CRCs. The container version
+//! is unchanged; a v1 image is refused as `config-mismatch`.
+//!
+//! The file is committed and must never be regenerated unless the PMP
+//! state layout is *deliberately* revved (in which case bump the file
+//! name's version suffix and say so in ARCHITECTURE.md).
 
 use pmp_core::{Pmp, PmpConfig};
 use pmp_prefetch::{AccessInfo, EvictInfo, Prefetcher};
 use pmp_snapshot::{decode_image, encode_image};
 use pmp_types::{Addr, MemAccess, Pc, Rng64};
 
-const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/pmp_trained_v1.pmps");
+const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/pmp_trained_v2.pmps");
 
 fn access(pc: u64, addr: u64, pq_free: usize) -> AccessInfo {
     AccessInfo { access: MemAccess::load(Pc(pc), Addr(addr)), hit: false, cycle: 0, pq_free }
@@ -53,10 +60,12 @@ fn train_fixture_pmp() -> Pmp {
     pmp
 }
 
-/// One-time fixture generator (run before the SWAR rework, committed):
+/// Fixture generator, run once per deliberate layout rev and committed
+/// (v1 before the SWAR rework; v2 when PMP's two extensions and their
+/// sections were removed):
 /// `cargo test -p pmp-bench --test snapshot_fixture -- --ignored`.
 #[test]
-#[ignore = "writes the committed fixture; run only to deliberately rev the wire format"]
+#[ignore = "writes the committed fixture; run only to deliberately rev the state layout"]
 fn regenerate_fixture() {
     let pmp = train_fixture_pmp();
     let image = pmp.save_state().expect("save");
