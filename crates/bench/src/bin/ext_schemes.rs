@@ -1,8 +1,7 @@
 //! Regenerates the paper artifact `ext_schemes` (see DESIGN.md §4).
 //! Scale via `PMP_SCALE` (tiny/small/standard/large).
-use pmp_bench::experiments::{self, scale_from_env};
+use pmp_bench::experiments::{self, base_from_env};
 
 fn main() {
-    let scale = scale_from_env();
-    println!("{}", experiments::ablation::ext_schemes(scale));
+    println!("{}", experiments::ablation::ext_schemes(&base_from_env()));
 }

@@ -1,8 +1,7 @@
 //! Regenerates the paper artifact `fig12a_bandwidth` (see DESIGN.md §4).
 //! Scale via `PMP_SCALE` (tiny/small/standard/large).
-use pmp_bench::experiments::{self, scale_from_env};
+use pmp_bench::experiments::{self, base_from_env};
 
 fn main() {
-    let scale = scale_from_env();
-    println!("{}", experiments::sensitivity::fig12a_bandwidth(scale));
+    println!("{}", experiments::sensitivity::fig12a_bandwidth(&base_from_env()));
 }

@@ -1,8 +1,7 @@
 //! Regenerates the paper artifact `fig13_multicore` (see DESIGN.md §4).
 //! Scale via `PMP_SCALE` (tiny/small/standard/large).
-use pmp_bench::experiments::{self, scale_from_env};
+use pmp_bench::experiments::{self, base_from_env};
 
 fn main() {
-    let scale = scale_from_env();
-    println!("{}", experiments::multicore::fig13(scale));
+    println!("{}", experiments::multicore::fig13(&base_from_env()));
 }

@@ -31,13 +31,16 @@
 //! instead of once per prefetcher and frees it after its last cell.
 use pmp_bench::prefetchers::PrefetcherKind;
 use pmp_bench::progress::{ProgressMode, ProgressReporter};
-use pmp_bench::runner::{geo_mean, run_cell, run_grid, CellSpec, RunConfig, RunOutcome};
+use pmp_bench::runner::{
+    geo_mean, run_cell, run_grid, CellSpec, RunConfig, RunOutcome, SweepContext,
+};
 use pmp_bench::{journal, telemetry};
 use pmp_obs::SweepObserver;
 use pmp_traces::io::write_trace_file;
 use pmp_traces::{catalog, Suite, TraceScale};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Cycle budget per cell: generous for a healthy Small-scale run, but a
 /// livelocked cell is cut off instead of hanging the sweep forever.
@@ -77,16 +80,12 @@ fn main() {
         i += 1;
     }
     std::fs::create_dir_all("results").expect("create results dir");
-    match journal::init_global(Path::new("results/journal.jsonl"), resume) {
-        Ok(info) if resume => eprintln!(
-            "journal: resumed with {} completed cells ({} corrupt lines skipped)",
-            info.loaded, info.skipped
-        ),
-        Ok(_) => {}
-        Err(e) => eprintln!("journal: disabled ({e}); running without checkpointing"),
-    }
-    telemetry::install(SweepObserver::new());
-    let reporter = ProgressReporter::start(ProgressMode::from_env(&args));
+    let observer = Arc::new(SweepObserver::new());
+    let sweep = SweepContext {
+        journal: journal::open_for_sweep(Path::new("results/journal.jsonl"), resume),
+        observer: Some(observer.clone()),
+    };
+    let reporter = ProgressReporter::start(ProgressMode::from_env(&args), observer.clone());
 
     let specs = catalog();
     let cfg = RunConfig {
@@ -94,6 +93,7 @@ fn main() {
         max_cycles: Some(CELL_CYCLE_BUDGET),
         snapshot_dir,
         warm_start,
+        sweep,
         ..RunConfig::default()
     };
 
@@ -101,7 +101,7 @@ fn main() {
     // worker pool; outcomes are partitioned by prefetcher label
     // afterwards. Traces whose baseline cell failed are excluded from
     // every comparison below (there is nothing to normalise by).
-    telemetry::phase("grid");
+    observer.phase("grid");
     let cells: Vec<CellSpec> = specs.iter().cloned().map(CellSpec::Synthetic).collect();
     let mut kinds = vec![PrefetcherKind::None];
     kinds.extend(PrefetcherKind::paper_five());
@@ -154,7 +154,7 @@ fn main() {
     }
 
     if inject {
-        telemetry::phase("fault_injection");
+        observer.phase("fault_injection");
         eprintln!("injecting two faulty cells (expected to fail in isolation)...");
         // Cell 1: a prefetcher that panics partway through the run.
         match run_cell(
@@ -189,10 +189,11 @@ fn main() {
     // `summary.resumed` is already the grid's own journal-hit delta;
     // the injected cells above fail, so they never add resumes.
     eprint!("{}", summary.report());
-    if let Some(warning) = journal::global_write_warning() {
+    if let Some(warning) = cfg.sweep.journal().and_then(|j| j.write_warning()) {
         eprintln!("WARNING: {warning}");
     }
     if telemetry::write_sweep_json(
+        &observer,
         Path::new("results/BENCH_sweep.json"),
         "full_sweep",
         &format!("{:?}", cfg.scale),

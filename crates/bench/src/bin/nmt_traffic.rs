@@ -1,7 +1,7 @@
 //! Regenerates the Section V-D NMT analysis. See DESIGN.md §4.
-use pmp_bench::experiments::{headline, scale_from_env};
+use pmp_bench::experiments::{base_from_env, headline};
 
 fn main() {
-    let runs = headline::HeadlineRuns::execute(scale_from_env());
+    let runs = headline::HeadlineRuns::execute(&base_from_env());
     println!("{}", headline::nmt_report(&runs));
 }

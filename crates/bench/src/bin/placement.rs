@@ -1,6 +1,6 @@
 //! Regenerates the Section V-B placement aside (DESIGN.md §4).
-use pmp_bench::experiments::{ablation, scale_from_env};
+use pmp_bench::experiments::{ablation, base_from_env};
 
 fn main() {
-    println!("{}", ablation::placement(scale_from_env()));
+    println!("{}", ablation::placement(&base_from_env()));
 }

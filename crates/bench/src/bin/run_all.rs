@@ -17,10 +17,12 @@
 //! runs included). Compare two of them with the `bench_diff` bin.
 use pmp_bench::experiments::{ablation, headline, motivation, multicore, scale_from_env, sensitivity, storage};
 use pmp_bench::progress::{ProgressMode, ProgressReporter};
+use pmp_bench::runner::{RunConfig, SweepContext};
 use pmp_bench::{journal, telemetry};
 use pmp_obs::SweepObserver;
 use std::fs;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -34,16 +36,13 @@ fn main() {
     }
     let scale = scale_from_env();
     fs::create_dir_all("results").expect("create results dir");
-    match journal::init_global(Path::new("results/journal.jsonl"), resume) {
-        Ok(info) if resume => eprintln!(
-            "journal: resumed with {} completed cells ({} corrupt lines skipped)",
-            info.loaded, info.skipped
-        ),
-        Ok(_) => {}
-        Err(e) => eprintln!("journal: disabled ({e}); running without checkpointing"),
-    }
-    let observer = telemetry::install(SweepObserver::new());
-    let reporter = ProgressReporter::start(ProgressMode::from_env(&args));
+    let observer = Arc::new(SweepObserver::new());
+    let sweep = SweepContext {
+        journal: journal::open_for_sweep(Path::new("results/journal.jsonl"), resume),
+        observer: Some(observer.clone()),
+    };
+    let base = RunConfig { scale, sweep, ..RunConfig::default() };
+    let reporter = ProgressReporter::start(ProgressMode::from_env(&args), observer.clone());
     let t0 = Instant::now();
     let save = |name: &str, body: String| {
         let path = format!("results/{name}.txt");
@@ -51,46 +50,52 @@ fn main() {
         println!("=== {name} ({:?} elapsed) ===\n{body}", t0.elapsed());
     };
 
-    telemetry::phase("storage");
+    observer.phase("storage");
     save("tab3_storage", format!("{}\n{}", storage::tab3_storage(), storage::tab5_overheads()));
-    telemetry::phase("motivation");
+    observer.phase("motivation");
     save("tab1_pcr_pdr", motivation::tab1_pcr_pdr(scale));
     save("fig2_top_patterns", motivation::fig2_top_patterns(scale));
     save("fig4_icdd", motivation::fig4_icdd(scale));
     save("fig5_heatmaps", motivation::fig5_heatmaps(scale));
     save("per_suite", motivation::per_suite(scale));
 
-    telemetry::phase("headline");
-    let runs = headline::HeadlineRuns::execute(scale);
+    observer.phase("headline");
+    let runs = headline::HeadlineRuns::execute(&base);
     save("fig8_singlecore", headline::fig8(&runs));
     save("fig9_cov_acc", headline::fig9(&runs));
     save("fig10_useful", headline::fig10(&runs));
     save("nmt_traffic", headline::nmt_report(&runs));
 
-    telemetry::phase("ablation");
-    save("tab8_design_b", ablation::tab8_design_b(scale));
-    save("ext_schemes", ablation::ext_schemes(scale));
-    save("mfp_ablation", ablation::mfp_ablation(scale));
-    save("tab9_pattern_len", ablation::tab9_pattern_len(scale));
-    save("tab10_width_counter", ablation::tab10_width_counter(scale));
-    save("tab11_monitor_range", ablation::tab11_monitor_range(scale));
-    save("placement", ablation::placement(scale));
+    observer.phase("ablation");
+    save("tab8_design_b", ablation::tab8_design_b(&base));
+    save("ext_schemes", ablation::ext_schemes(&base));
+    save("mfp_ablation", ablation::mfp_ablation(&base));
+    save("tab9_pattern_len", ablation::tab9_pattern_len(&base));
+    save("tab10_width_counter", ablation::tab10_width_counter(&base));
+    save("tab11_monitor_range", ablation::tab11_monitor_range(&base));
+    save("placement", ablation::placement(&base));
 
-    telemetry::phase("sensitivity");
-    save("fig12a_bandwidth", sensitivity::fig12a_bandwidth(scale));
-    save("fig12b_llc", sensitivity::fig12b_llc(scale));
+    observer.phase("sensitivity");
+    save("fig12a_bandwidth", sensitivity::fig12a_bandwidth(&base));
+    save("fig12b_llc", sensitivity::fig12b_llc(&base));
 
-    telemetry::phase("multicore");
-    save("fig13_multicore", multicore::fig13(scale));
+    observer.phase("multicore");
+    save("fig13_multicore", multicore::fig13(&base));
     match reporter {
         Some(reporter) => reporter.finish(),
         None => eprintln!("{}", telemetry::summary_line(&observer.snapshot())),
     }
-    if journal::global_hits() > 0 {
-        eprintln!("journal: {} cells served from checkpoint", journal::global_hits());
+    if let Some(journal) = base.sweep.journal() {
+        if journal.hits() > 0 {
+            eprintln!("journal: {} cells served from checkpoint", journal.hits());
+        }
+        if let Some(warning) = journal.write_warning() {
+            eprintln!("WARNING: {warning}");
+        }
     }
     let scale_tag = format!("{scale:?}");
-    if telemetry::write_sweep_json(Path::new("results/BENCH_sweep.json"), "run_all", &scale_tag) {
+    let sweep_json = Path::new("results/BENCH_sweep.json");
+    if telemetry::write_sweep_json(&observer, sweep_json, "run_all", &scale_tag) {
         eprintln!("wrote results/BENCH_sweep.json");
     }
     eprintln!("run_all finished in {:?}", t0.elapsed());

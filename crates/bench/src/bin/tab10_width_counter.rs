@@ -1,8 +1,7 @@
 //! Regenerates the paper artifact `tab10_width_counter` (see DESIGN.md §4).
 //! Scale via `PMP_SCALE` (tiny/small/standard/large).
-use pmp_bench::experiments::{self, scale_from_env};
+use pmp_bench::experiments::{self, base_from_env};
 
 fn main() {
-    let scale = scale_from_env();
-    println!("{}", experiments::ablation::tab10_width_counter(scale));
+    println!("{}", experiments::ablation::tab10_width_counter(&base_from_env()));
 }

@@ -1,8 +1,7 @@
 //! Regenerates the paper artifact `tab11_monitor_range` (see DESIGN.md §4).
 //! Scale via `PMP_SCALE` (tiny/small/standard/large).
-use pmp_bench::experiments::{self, scale_from_env};
+use pmp_bench::experiments::{self, base_from_env};
 
 fn main() {
-    let scale = scale_from_env();
-    println!("{}", experiments::ablation::tab11_monitor_range(scale));
+    println!("{}", experiments::ablation::tab11_monitor_range(&base_from_env()));
 }

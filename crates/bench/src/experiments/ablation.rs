@@ -8,7 +8,7 @@ use crate::runner::{normalized_ipcs, run_specs_grid, RunConfig};
 use pmp_core::{ExtractionScheme, PmpConfig};
 use pmp_core::pmp::TableMode;
 use pmp_stats::Table;
-use pmp_traces::{representative_subset, TraceScale, TraceSpec};
+use pmp_traces::{representative_subset, TraceSpec};
 
 fn sweep_config() -> Vec<TraceSpec> {
     representative_subset()
@@ -50,16 +50,15 @@ fn pmp_variants(
 /// **Table VIII** — Design B NIPC versus associativity, plus PMP for
 /// reference. The paper's point: even 512 ways of identical-pattern
 /// counting lose to counter-vector merging.
-pub fn tab8_design_b(scale: TraceScale) -> String {
+pub fn tab8_design_b(base: &RunConfig) -> String {
     let specs = sweep_config();
-    let cfg = RunConfig { scale, ..RunConfig::default() };
     let mut kinds: Vec<PrefetcherKind> =
         [8usize, 32, 128, 512].iter().map(|&w| PrefetcherKind::DesignB(w)).collect();
     kinds.push(PrefetcherKind::Pmp);
-    let (base, withs) = baseline_and(&specs, kinds.clone(), &cfg);
+    let (baseline, withs) = baseline_and(&specs, kinds.clone(), base);
     let mut t = Table::new(&["design", "ways", "NIPC", "storage KiB"]);
     for (kind, with) in kinds.iter().zip(withs) {
-        let (_, g) = normalized_ipcs(&base, &with);
+        let (_, g) = normalized_ipcs(&baseline, &with);
         let kib = kind.build().storage_bits() as f64 / 8.0 / 1024.0;
         let (design, ways) = match kind {
             PrefetcherKind::DesignB(w) => ("Design B".to_string(), w.to_string()),
@@ -75,9 +74,8 @@ pub fn tab8_design_b(scale: TraceScale) -> String {
 
 /// **Section V-E2** — the three extraction schemes. Paper: AFE 65.2%
 /// over baseline, ANE 60.3%, ARE only 5.0% (depth-capped).
-pub fn ext_schemes(scale: TraceScale) -> String {
+pub fn ext_schemes(base: &RunConfig) -> String {
     let specs = sweep_config();
-    let cfg = RunConfig { scale, ..RunConfig::default() };
     let variants = vec![
         (
             "AFE (default)".to_string(),
@@ -92,7 +90,7 @@ pub fn ext_schemes(scale: TraceScale) -> String {
             PmpConfig { scheme: ExtractionScheme::are_default(), ..PmpConfig::default() },
         ),
     ];
-    let results = pmp_variants(&specs, &cfg, &variants);
+    let results = pmp_variants(&specs, base, &variants);
     let mut t = Table::new(&["scheme", "NIPC"]);
     for (label, g) in results {
         t.row_owned(vec![label, super::f3(g)]);
@@ -105,9 +103,8 @@ pub fn ext_schemes(scale: TraceScale) -> String {
 
 /// **Section V-E3** — multi-feature prediction: the dual pattern
 /// tables vs the combined PC+TriggerOffset feature vs single tables.
-pub fn mfp_ablation(scale: TraceScale) -> String {
+pub fn mfp_ablation(base: &RunConfig) -> String {
     let specs = sweep_config();
-    let cfg = RunConfig { scale, ..RunConfig::default() };
     let variants = vec![
         ("dual tables (OPT+PPT)".to_string(), PmpConfig::default()),
         (
@@ -123,7 +120,7 @@ pub fn mfp_ablation(scale: TraceScale) -> String {
             PmpConfig { table_mode: TableMode::PptOnly, ..PmpConfig::default() },
         ),
     ];
-    let results = pmp_variants(&specs, &cfg, &variants);
+    let results = pmp_variants(&specs, base, &variants);
     let mut t = Table::new(&["configuration", "NIPC"]);
     for (label, g) in results {
         t.row_owned(vec![label, super::f3(g)]);
@@ -136,14 +133,13 @@ pub fn mfp_ablation(scale: TraceScale) -> String {
 
 /// **Table IX** — pattern length 64/32/16 (region 4KB/2KB/1KB) with
 /// storage budgets.
-pub fn tab9_pattern_len(scale: TraceScale) -> String {
+pub fn tab9_pattern_len(base: &RunConfig) -> String {
     let specs = sweep_config();
-    let cfg = RunConfig { scale, ..RunConfig::default() };
     let variants: Vec<(String, PmpConfig)> = [64u32, 32, 16]
         .iter()
         .map(|&len| (format!("PMP-{len}"), PmpConfig::with_pattern_length(len)))
         .collect();
-    let results = pmp_variants(&specs, &cfg, &variants);
+    let results = pmp_variants(&specs, base, &variants);
     let mut t = Table::new(&["config", "region", "overhead KiB", "NIPC"]);
     for ((label, g), len) in results.into_iter().zip([64u32, 32, 16]) {
         let kib = PrefetcherKind::PmpCustom(Box::new(PmpConfig::with_pattern_length(len)))
@@ -166,9 +162,8 @@ pub fn tab9_pattern_len(scale: TraceScale) -> String {
 
 /// **Table X** — trigger-offset width (6..=12 bits) and OPT counter
 /// size (2..=8 bits) sweeps.
-pub fn tab10_width_counter(scale: TraceScale) -> String {
+pub fn tab10_width_counter(base: &RunConfig) -> String {
     let specs = sweep_config();
-    let cfg = RunConfig { scale, ..RunConfig::default() };
     let width_variants: Vec<(String, PmpConfig)> = (6u32..=12)
         .map(|b| {
             (format!("{b}-bit trigger offset"), PmpConfig { trigger_offset_bits: b, ..PmpConfig::default() })
@@ -177,8 +172,8 @@ pub fn tab10_width_counter(scale: TraceScale) -> String {
     let counter_variants: Vec<(String, PmpConfig)> = (2u32..=8)
         .map(|b| (format!("{b}-bit counters"), PmpConfig { opt_counter_bits: b, ..PmpConfig::default() }))
         .collect();
-    let widths = pmp_variants(&specs, &cfg, &width_variants);
-    let counters = pmp_variants(&specs, &cfg, &counter_variants);
+    let widths = pmp_variants(&specs, base, &width_variants);
+    let counters = pmp_variants(&specs, base, &counter_variants);
     let mut t = Table::new(&["trigger offset width", "NIPC", "counter size", "NIPC "]);
     for i in 0..7 {
         t.row_owned(vec![
@@ -195,16 +190,15 @@ pub fn tab10_width_counter(scale: TraceScale) -> String {
 }
 
 /// **Table XI** — monitoring range 1/2/4/8.
-pub fn tab11_monitor_range(scale: TraceScale) -> String {
+pub fn tab11_monitor_range(base: &RunConfig) -> String {
     let specs = sweep_config();
-    let cfg = RunConfig { scale, ..RunConfig::default() };
     let variants: Vec<(String, PmpConfig)> = [1u32, 2, 4, 8]
         .iter()
         .map(|&r| {
             (format!("range {r}"), PmpConfig { monitoring_range: r, ..PmpConfig::default() })
         })
         .collect();
-    let results = pmp_variants(&specs, &cfg, &variants);
+    let results = pmp_variants(&specs, base, &variants);
     let mut t = Table::new(&["monitoring range", "NIPC", "PPT bytes"]);
     for ((label, g), r) in results.into_iter().zip([1u32, 2, 4, 8]) {
         let ppt_bytes = pmp_core::tables::PcPatternTable::new(5, 64, r, 5).storage_bits() / 8;
@@ -219,15 +213,14 @@ pub fn tab11_monitor_range(scale: TraceScale) -> String {
 /// **Placement study** (Section V-B's aside): "PMP (at L1) outperforms
 /// the original Bingo at LLC by 16.5%" — heavyweight prefetchers are
 /// realistic only at outer levels, where they see less and help less.
-pub fn placement(scale: TraceScale) -> String {
+pub fn placement(base: &RunConfig) -> String {
     let specs = sweep_config();
-    let cfg = RunConfig { scale, ..RunConfig::default() };
     let kinds = vec![PrefetcherKind::Pmp, PrefetcherKind::Bingo, PrefetcherKind::BingoAtLlc];
-    let (base, withs) = baseline_and(&specs, kinds.clone(), &cfg);
+    let (baseline, withs) = baseline_and(&specs, kinds.clone(), base);
     let mut t = Table::new(&["configuration", "NIPC"]);
     let mut results = Vec::new();
     for (kind, outs) in kinds.iter().zip(withs) {
-        let (_, g) = normalized_ipcs(&base, &outs);
+        let (_, g) = normalized_ipcs(&baseline, &outs);
         results.push((kind.label(), g));
         t.row_owned(vec![kind.label(), super::f3(g)]);
     }
@@ -243,17 +236,22 @@ pub fn placement(scale: TraceScale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_traces::TraceScale;
+
+    fn tiny() -> RunConfig {
+        RunConfig { scale: TraceScale::Tiny, ..RunConfig::default() }
+    }
 
     #[test]
     fn ext_schemes_tiny() {
-        let s = ext_schemes(TraceScale::Tiny);
+        let s = ext_schemes(&tiny());
         assert!(s.contains("AFE"));
         assert!(s.contains("ARE"));
     }
 
     #[test]
     fn tab11_tiny() {
-        let s = tab11_monitor_range(TraceScale::Tiny);
+        let s = tab11_monitor_range(&tiny());
         assert!(s.contains("range 2"));
         assert!(s.contains("640")); // default PPT bytes
     }

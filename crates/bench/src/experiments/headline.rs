@@ -6,7 +6,7 @@ use crate::prefetchers::PrefetcherKind;
 use crate::runner::{geo_mean, normalized_ipcs, run_specs_grid, RunConfig, RunOutcome};
 use pmp_stats::metrics::{accuracy, coverage, nmt, PrefetchBreakdown};
 use pmp_stats::Table;
-use pmp_traces::{catalog, Suite, TraceScale};
+use pmp_traces::{catalog, Suite};
 use pmp_types::CacheLevel;
 
 /// The shared run grid: baseline plus the five paper prefetchers
@@ -21,13 +21,12 @@ pub struct HeadlineRuns {
 impl HeadlineRuns {
     /// Execute the grid: all seven kinds × 125 traces as one grid
     /// (each trace generated once, no per-kind barrier).
-    pub fn execute(scale: TraceScale) -> Self {
+    pub fn execute(base: &RunConfig) -> Self {
         let specs = catalog();
-        let cfg = RunConfig { scale, ..RunConfig::default() };
         let mut kinds = vec![PrefetcherKind::None];
         kinds.extend(PrefetcherKind::paper_five());
         kinds.push(PrefetcherKind::PmpLimit);
-        let mut grids = run_specs_grid(&specs, &kinds, &cfg).into_iter();
+        let mut grids = run_specs_grid(&specs, &kinds, base).into_iter();
         let base = grids.next().expect("baseline grid present");
         let with = kinds[1..].iter().map(PrefetcherKind::label).zip(grids).collect();
         HeadlineRuns { base, with }
@@ -183,11 +182,13 @@ pub fn nmt_report(runs: &HeadlineRuns) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_traces::TraceScale;
 
     #[test]
     fn headline_pipeline_at_tiny_scale() {
         // One shared grid exercises all four reports.
-        let runs = HeadlineRuns::execute(TraceScale::Tiny);
+        let tiny = RunConfig { scale: TraceScale::Tiny, ..RunConfig::default() };
+        let runs = HeadlineRuns::execute(&tiny);
         let f8 = fig8(&runs);
         assert!(f8.contains("PMP vs bingo"));
         let f9 = fig9(&runs);

@@ -11,6 +11,7 @@ pub mod multicore;
 pub mod sensitivity;
 pub mod storage;
 
+use crate::runner::RunConfig;
 use pmp_traces::TraceScale;
 
 /// Resolve the experiment scale from `PMP_SCALE`
@@ -19,6 +20,12 @@ use pmp_traces::TraceScale;
 pub fn scale_from_env() -> TraceScale {
     let label = std::env::var("PMP_SCALE").ok().filter(|s| !s.is_empty());
     crate::scale_or_exit("PMP_SCALE", label.as_deref(), TraceScale::Standard)
+}
+
+/// The base config a single-report binary runs its grids under: the
+/// [`scale_from_env`] scale, with no journal or observer.
+pub fn base_from_env() -> RunConfig {
+    RunConfig { scale: scale_from_env(), ..RunConfig::default() }
 }
 
 /// Format a float as the paper prints NIPCs (three decimals).

@@ -11,7 +11,7 @@ use crate::runner::{geo_mean, run_grid, CellSpec, MixCell, RunConfig, RunOutcome
 use pmp_sim::{SimStats, SystemConfig};
 use pmp_stats::Table;
 use pmp_traces::mix::{table_vii_mixes, MixSpec, MpkiClass};
-use pmp_traces::{catalog, TraceScale, TraceSpec};
+use pmp_traces::{catalog, TraceSpec};
 use pmp_types::HarnessError;
 use std::collections::HashMap;
 
@@ -62,14 +62,13 @@ fn mix_cell(
 }
 
 /// Classify the catalog by single-core baseline LLC MPKI (the paper's
-/// Table VII procedure) at a quick scale.
+/// Table VII procedure), run under `base`.
 ///
 /// Runs through the checked grid path: a broken trace costs its own
 /// classification (it is simply absent from the result), not the sweep.
-pub fn classify_catalog(scale: TraceScale) -> Vec<(String, MpkiClass)> {
+pub fn classify_catalog(base: &RunConfig) -> Vec<(String, MpkiClass)> {
     let cells: Vec<CellSpec> = catalog().into_iter().map(CellSpec::Synthetic).collect();
-    let cfg = RunConfig { scale, ..RunConfig::default() };
-    let (outs, summary) = run_grid(&cells, &[PrefetcherKind::None], &cfg);
+    let (outs, summary) = run_grid(&cells, &[PrefetcherKind::None], base);
     if !summary.is_clean() {
         eprintln!("classify_catalog: {}", summary.report());
     }
@@ -90,7 +89,7 @@ fn mix_ipc(outcome: &RunOutcome) -> f64 {
 
 /// **Fig. 13** — multi-core NIPC for the five prefetchers plus
 /// PMP-Limit, on homogeneous workloads and Table VII mixes.
-pub fn fig13(scale: TraceScale) -> String {
+pub fn fig13(base: &RunConfig) -> String {
     let all = catalog();
     let by_name: HashMap<String, &TraceSpec> =
         all.iter().map(|s| (s.name.clone(), s)).collect();
@@ -109,7 +108,7 @@ pub fn fig13(scale: TraceScale) -> String {
     }
 
     // Heterogeneous: Table VII mixes from the MPKI classification.
-    let classified = classify_catalog(scale);
+    let classified = classify_catalog(base);
     let mixes: Vec<MixSpec> = table_vii_mixes(&classified, 2022);
     let mut hetero_names: Vec<String> = Vec::new();
     for kind in MIX_KINDS {
@@ -129,7 +128,7 @@ pub fn fig13(scale: TraceScale) -> String {
     kinds.extend(PrefetcherKind::paper_five());
     kinds.push(PrefetcherKind::PmpLimit);
 
-    let cfg = RunConfig { scale, system: SystemConfig::quad_core(), ..RunConfig::default() };
+    let cfg = RunConfig { system: SystemConfig::quad_core(), ..base.clone() };
     let (outs, summary) = run_grid(&cells, &kinds, &cfg);
     let by_cell: HashMap<(&str, &str), &RunOutcome> =
         outs.iter().map(|o| ((o.prefetcher.as_str(), o.trace.as_str()), o)).collect();
@@ -173,10 +172,11 @@ pub fn fig13(scale: TraceScale) -> String {
 mod tests {
     use super::*;
     use crate::runner::run_cell;
+    use pmp_traces::TraceScale;
 
     #[test]
     fn classification_covers_catalog() {
-        let c = classify_catalog(TraceScale::Tiny);
+        let c = classify_catalog(&RunConfig { scale: TraceScale::Tiny, ..RunConfig::default() });
         assert_eq!(c.len(), 125);
     }
 

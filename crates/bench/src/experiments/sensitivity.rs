@@ -5,7 +5,7 @@ use crate::prefetchers::PrefetcherKind;
 use crate::runner::{normalized_ipcs, run_specs_grid, RunConfig};
 use pmp_sim::SystemConfig;
 use pmp_stats::report::{render_series, Series};
-use pmp_traces::{representative_subset, TraceScale};
+use pmp_traces::representative_subset;
 
 /// Baseline + paper-five over `specs` as one grid for one
 /// system-config point; returns (baseline outcomes, per-kind outcomes
@@ -26,15 +26,14 @@ fn point_grids(
 /// Expected shape: PMP's aggressive traffic makes it bandwidth-hungry —
 /// it trails at 800 MT/s (except vs DSPatch) and leads from 1600 MT/s
 /// up, saturating near 3200 MT/s.
-pub fn fig12a_bandwidth(scale: TraceScale) -> String {
+pub fn fig12a_bandwidth(base: &RunConfig) -> String {
     let specs = representative_subset();
     let mut series: Vec<Series> =
         PrefetcherKind::paper_five().iter().map(|k| Series::new(&k.label())).collect();
     for mts in [800u64, 1600, 3200, 6400] {
         let cfg = RunConfig {
-            scale,
             system: SystemConfig::single_core().with_dram_mts(mts),
-            ..RunConfig::default()
+            ..base.clone()
         };
         let (base, withs) = point_grids(&specs, &cfg);
         for (si, with) in withs.iter().enumerate() {
@@ -52,16 +51,12 @@ pub fn fig12a_bandwidth(scale: TraceScale) -> String {
 ///
 /// Expected shape: PMP's lead over Bingo widens with LLC size (useless
 /// prefetches pollute less).
-pub fn fig12b_llc(scale: TraceScale) -> String {
+pub fn fig12b_llc(base: &RunConfig) -> String {
     let specs = representative_subset();
     let mut series: Vec<Series> =
         PrefetcherKind::paper_five().iter().map(|k| Series::new(&k.label())).collect();
     for mb in [2usize, 4, 8] {
-        let cfg = RunConfig {
-            scale,
-            system: SystemConfig::single_core().with_llc_mb(mb),
-            ..RunConfig::default()
-        };
+        let cfg = RunConfig { system: SystemConfig::single_core().with_llc_mb(mb), ..base.clone() };
         let (base, withs) = point_grids(&specs, &cfg);
         for (si, with) in withs.iter().enumerate() {
             let (_, g) = normalized_ipcs(&base, with);
@@ -77,10 +72,11 @@ pub fn fig12b_llc(scale: TraceScale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_traces::TraceScale;
 
     #[test]
     fn fig12b_tiny() {
-        let s = fig12b_llc(TraceScale::Tiny);
+        let s = fig12b_llc(&RunConfig { scale: TraceScale::Tiny, ..RunConfig::default() });
         assert!(s.contains("2MB"));
         assert!(s.contains("8MB"));
         assert!(s.contains("pmp"));

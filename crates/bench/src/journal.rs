@@ -9,11 +9,14 @@
 //! those cells from the journal instead of re-simulating them, so only
 //! missing (i.e. previously failed or never-reached) cells execute.
 //!
-//! The journal is a process-wide singleton the runner consults
-//! implicitly (threading a handle through every experiment function
-//! would churn two dozen call sites for no flexibility anyone needs):
-//! binaries opt in via [`init_global`]; tests can install an in-memory
-//! journal via [`install_global`] and reset with [`clear_global`].
+//! A sweep owns its journal: the binary opens it ([`open_for_sweep`])
+//! into the [`SweepContext`] its [`RunConfig`]s carry, and every grid
+//! run under that config looks its cells up and records them there.
+//! Tests build in-memory journals the same way, so concurrent sweeps
+//! never share one.
+//!
+//! [`SweepContext`]: crate::runner::SweepContext
+//! [`RunConfig`]: crate::runner::RunConfig
 //!
 //! ## Record format
 //!
@@ -26,15 +29,15 @@
 //!
 //! ```json
 //! {"key":"spec06.mcf_2|pmp|Small|a1b2...","trace":"spec06.mcf_2","suite":0,"prefetcher":"pmp",
-//!  "instructions":123,"cycles":456,"wall_ms":97,"outcome":"ok","stats":{...}}
+//!  "instructions":123,"cycles":456,"wall_ms":97,"stats":{...}}
 //! ```
 //!
-//! `wall_ms` (the cell's wall-clock cost) and `outcome` (the span tag,
-//! always `"ok"` for journaled cells) default to `0` / `"ok"` when
-//! missing, so journals older than those fields still resume.
-//! Unparseable lines (torn tail writes after a crash) are skipped on
-//! load and counted, never fatal: a corrupt journal degrades to
-//! re-running some cells.
+//! `wall_ms` (the cell's wall-clock cost) defaults to `0` when missing,
+//! so journals older than that field still resume. Fields a record
+//! carries beyond these are ignored: older journals also hold an
+//! always-`"ok"` `outcome`. Unparseable lines (torn tail writes after
+//! a crash) are skipped on load and counted, never fatal: a corrupt
+//! journal degrades to re-running some cells.
 
 use pmp_sim::SimStats;
 use pmp_traces::Suite;
@@ -44,7 +47,7 @@ use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One journaled (completed) grid cell.
 #[derive(Debug, Clone)]
@@ -60,12 +63,8 @@ pub struct JournalEntry {
     /// Measured-window cycles.
     pub cycles: u64,
     /// Wall-clock the cell cost when it executed, in milliseconds
-    /// (0 for records written before the telemetry PR).
+    /// (0 for records written before the field existed).
     pub wall_ms: u64,
-    /// Span outcome tag (`"ok"` — only completed cells are journaled;
-    /// the field exists so future partial-result records stay
-    /// parseable).
-    pub outcome: String,
     /// Measured-window counters.
     pub stats: SimStats,
 }
@@ -225,69 +224,33 @@ impl Journal {
     }
 }
 
-// ---------------------------------------------------------------------
-// Process-wide journal the runner consults.
-// ---------------------------------------------------------------------
-
-static GLOBAL: Mutex<Option<Journal>> = Mutex::new(None);
-
-/// Lock the global journal slot, surviving a poisoned mutex (a worker
-/// that panicked mid-record must not poison every later cell — that is
-/// exactly the failure mode this PR removes).
-fn global_slot() -> std::sync::MutexGuard<'static, Option<Journal>> {
-    GLOBAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Open `path` and install it as the process-wide journal.
-///
-/// # Errors
-///
-/// Propagates [`Journal::open`] errors.
-pub fn init_global(path: &Path, resume: bool) -> io::Result<ResumeInfo> {
-    let (journal, info) = Journal::open(path, resume)?;
-    *global_slot() = Some(journal);
-    Ok(info)
-}
-
-/// Install an already-built journal (tests use in-memory ones).
-pub fn install_global(journal: Journal) {
-    *global_slot() = Some(journal);
-}
-
-/// Remove the global journal (subsequent sweeps run un-journaled).
-pub fn clear_global() {
-    *global_slot() = None;
-}
-
-/// Whether a global journal is installed.
-pub fn global_active() -> bool {
-    global_slot().is_some()
-}
-
-/// All-or-nothing journal lookup for a cell's keys. `None` when
-/// inactive or when any key is missing. See [`Journal::lookup_all`].
-pub fn global_lookup_all(keys: &[String]) -> Option<Vec<JournalEntry>> {
-    global_slot().as_mut().and_then(|j| j.lookup_all(keys))
-}
-
-/// Record a completed cell into the global journal (no-op when
-/// inactive).
-pub fn global_record(key: &str, entry: JournalEntry) {
-    if let Some(j) = global_slot().as_mut() {
-        j.record(key, entry);
+/// Open the journal at `path` for a sweep (see [`Journal::open`]),
+/// reporting a resume's tally on stderr. A journal that cannot be
+/// opened is reported there too and left out: the sweep runs without
+/// checkpointing rather than not at all.
+pub fn open_for_sweep(path: &Path, resume: bool) -> Option<Arc<Mutex<Journal>>> {
+    match Journal::open(path, resume) {
+        Ok((journal, info)) => {
+            if resume {
+                eprintln!(
+                    "journal: resumed with {} completed cells ({} corrupt lines skipped)",
+                    info.loaded, info.skipped
+                );
+            }
+            Some(Arc::new(Mutex::new(journal)))
+        }
+        Err(e) => {
+            eprintln!("journal: disabled ({e}); running without checkpointing");
+            None
+        }
     }
 }
 
-/// Lookups served from the global journal so far (resume hit count).
-pub fn global_hits() -> u64 {
-    global_slot().as_ref().map_or(0, Journal::hits)
-}
-
-/// End-of-sweep warning when any journal append failed to persist
-/// (None when inactive or when the checkpoint is complete). See
-/// [`Journal::write_warning`].
-pub fn global_write_warning() -> Option<String> {
-    global_slot().as_ref().and_then(Journal::write_warning)
+/// Always `false`: no journal is process-wide any more, each sweep
+/// owns its own. Kept only for the benchmark's pre-run check; delete it
+/// with the next change to the benchmark.
+pub fn global_active() -> bool {
+    false
 }
 
 // ---------------------------------------------------------------------
@@ -321,7 +284,6 @@ fn render_record(key: &str, e: &JournalEntry) -> String {
         .with("instructions", e.instructions)
         .with("cycles", e.cycles)
         .with("wall_ms", e.wall_ms)
-        .with("outcome", e.outcome.as_str())
         .with("stats", pmp_stats::sim_stats_to_json(&e.stats))
         .to_string()
 }
@@ -336,11 +298,10 @@ fn parse_record(line: &str) -> Option<(String, JournalEntry)> {
         prefetcher: text("prefetcher")?,
         instructions: count("instructions")?,
         cycles: count("cycles")?,
-        // Telemetry fields are younger than the journal format:
-        // records from pre-telemetry journals default instead of
-        // failing, so old checkpoints still resume.
+        // `wall_ms` is younger than the journal format: records from
+        // older journals default instead of failing, so old
+        // checkpoints still resume.
         wall_ms: count("wall_ms").unwrap_or(0),
-        outcome: text("outcome").unwrap_or_else(|| "ok".into()),
         stats: pmp_stats::sim_stats_from_json(record.get("stats")?)?,
     };
     Some((text("key")?, entry))
@@ -374,7 +335,6 @@ mod tests {
             instructions: 9000,
             cycles: 4500,
             wall_ms: 137,
-            outcome: "ok".into(),
             stats,
         }
     }
@@ -391,14 +351,13 @@ mod tests {
         assert_eq!(back.instructions, entry.instructions);
         assert_eq!(back.cycles, entry.cycles);
         assert_eq!(back.wall_ms, 137);
-        assert_eq!(back.outcome, "ok");
         assert_eq!(back.stats, entry.stats, "full SimStats must survive the round trip");
     }
 
     #[test]
     fn pre_telemetry_records_parse_with_defaults() {
-        // A record in the exact format journals used before wall_ms /
-        // outcome existed must still load (fields defaulted), so old
+        // A record in the exact format journals used before wall_ms
+        // existed must still load (the field defaulted), so old
         // checkpoints keep resuming.
         let entry = sample_entry();
         let old_line = format!(
@@ -413,35 +372,42 @@ mod tests {
         assert_eq!(key, "old-key");
         assert_eq!(back.instructions, entry.instructions);
         assert_eq!(back.wall_ms, 0, "missing wall_ms defaults");
-        assert_eq!(back.outcome, "ok", "missing outcome defaults");
         assert_eq!(back.stats, entry.stats);
     }
 
     #[test]
     fn old_journal_file_resumes() {
         // End-to-end form of the compatibility guarantee: a journal
-        // file written by the pre-telemetry format loads and serves
-        // lookups.
+        // file holding both older formats loads and serves lookups —
+        // one record from before `wall_ms`, and one that still carries
+        // the `"outcome":"ok"` tag records no longer write.
         let dir = std::env::temp_dir().join("pmp_journal_compat_test");
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("journal.jsonl");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let entry = sample_entry();
-        let old_line = format!(
-            "{{\"key\":\"compat-cell\",\"trace\":\"{}\",\"suite\":0,\"prefetcher\":\"pmp\",\
-             \"instructions\":{},\"cycles\":{},\"stats\":{}}}\n",
-            entry.trace,
-            entry.instructions,
-            entry.cycles,
-            pmp_stats::sim_stats_to_json(&entry.stats),
-        );
-        std::fs::write(&path, old_line).expect("seed old-format journal");
+        let old_line = |key: &str, extra: &str| {
+            format!(
+                "{{\"key\":\"{key}\",\"trace\":\"{}\",\"suite\":0,\"prefetcher\":\"pmp\",\
+                 \"instructions\":{},\"cycles\":{},{extra}\"stats\":{}}}\n",
+                entry.trace,
+                entry.instructions,
+                entry.cycles,
+                pmp_stats::sim_stats_to_json(&entry.stats),
+            )
+        };
+        let body = old_line("compat-cell", "")
+            + &old_line("outcome-cell", "\"wall_ms\":137,\"outcome\":\"ok\",");
+        std::fs::write(&path, body).expect("seed old-format journal");
         let (mut journal, info) = Journal::open(&path, true).expect("open");
-        assert_eq!(info.loaded, 1);
+        assert_eq!(info.loaded, 2);
         assert_eq!(info.skipped, 0);
         let got = journal.lookup_all(&["compat-cell".into()]).expect("old cell resumes");
         assert_eq!(got[0].cycles, entry.cycles);
         assert_eq!(got[0].wall_ms, 0);
+        let got = journal.lookup_all(&["outcome-cell".into()]).expect("outcome cell resumes");
+        assert_eq!(got[0].wall_ms, 137);
+        assert_eq!(got[0].stats, entry.stats);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,4 +1,4 @@
-//! Live sweep progress: a TTY-aware reporter polling the installed
+//! Live sweep progress: a TTY-aware reporter polling the sweep's
 //! [`pmp_obs::SweepObserver`].
 //!
 //! On an interactive terminal the reporter redraws a single status
@@ -7,13 +7,14 @@
 //! piped runs — it degrades to one plain-text line every
 //! `PLAIN_PERIOD` (10 s) so logs stay grep-able and append-only. Progress
 //! is opt-out: `--no-progress` (or `PMP_NO_PROGRESS=1`) switches it
-//! off entirely, and it is a no-op when no observer is installed.
+//! off entirely.
 //!
 //! Output goes to **stderr**: every experiment binary writes its
 //! report to stdout/`results/`, and a progress line must never
 //! corrupt a piped report.
 
 use crate::telemetry;
+use pmp_obs::SweepObserver;
 use std::io::{IsTerminal, Write as _};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -46,22 +47,23 @@ impl ProgressMode {
     }
 }
 
-/// A background thread rendering the installed observer until stopped
-/// or dropped.
+/// A background thread rendering a sweep's observer until stopped or
+/// dropped.
 pub struct ProgressReporter {
+    observer: Arc<SweepObserver>,
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ProgressReporter {
-    /// Start reporting on the process-wide observer. Returns `None`
-    /// when progress is off or no observer is installed — callers can
-    /// unconditionally hold the result.
-    pub fn start(mode: ProgressMode) -> Option<ProgressReporter> {
+    /// Start reporting on `observer`. Returns `None` when progress is
+    /// off (or the thread cannot start) — callers can unconditionally
+    /// hold the result.
+    pub fn start(mode: ProgressMode, observer: Arc<SweepObserver>) -> Option<ProgressReporter> {
         if mode == ProgressMode::Off {
             return None;
         }
-        let observer = telemetry::handle()?;
+        let polled = observer.clone();
         let tty = std::io::stderr().is_terminal();
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
@@ -75,7 +77,7 @@ impl ProgressReporter {
                     if stop2.load(Ordering::Relaxed) {
                         break;
                     }
-                    let snap = observer.snapshot();
+                    let snap = polled.snapshot();
                     let line = telemetry::summary_line(&snap);
                     let mut err = std::io::stderr().lock();
                     if tty {
@@ -96,15 +98,13 @@ impl ProgressReporter {
                 }
             })
             .ok()?;
-        Some(ProgressReporter { stop, handle: Some(handle) })
+        Some(ProgressReporter { observer, stop, handle: Some(handle) })
     }
 
     /// Stop the reporter and print one final summary line.
     pub fn finish(mut self) {
         self.shutdown();
-        if let Some(obs) = telemetry::handle() {
-            eprintln!("{}", telemetry::summary_line(&obs.snapshot()));
-        }
+        eprintln!("{}", telemetry::summary_line(&self.observer.snapshot()));
     }
 
     fn shutdown(&mut self) {
@@ -129,13 +129,8 @@ mod tests {
     fn no_progress_flag_and_env_disable() {
         let args = vec!["--resume".to_string(), "--no-progress".to_string()];
         assert_eq!(ProgressMode::from_env(&args), ProgressMode::Off);
-        // Off mode never needs an observer.
-        assert!(ProgressReporter::start(ProgressMode::Off).is_none());
-    }
-
-    #[test]
-    fn auto_without_observer_is_a_noop() {
-        crate::telemetry::clear();
-        assert!(ProgressReporter::start(ProgressMode::Auto).is_none());
+        // Off mode starts no reporter thread.
+        let observer = Arc::new(SweepObserver::new());
+        assert!(ProgressReporter::start(ProgressMode::Off, observer).is_none());
     }
 }

@@ -11,22 +11,50 @@
 //! (trace generator, prefetcher, simulator) are caught and converted to
 //! a typed [`CellFailure`]. One bad cell therefore costs exactly one
 //! grid gap — reported in the [`SweepSummary`] — instead of the whole
-//! sweep. Completed cells are journaled through [`crate::journal`] when
-//! a journal is active, so interrupted sweeps resume instead of
-//! restarting. The flavours differ only in what [`CellSpec`] supplies:
-//! recipe checks, journal keys, archetype family, and the traces.
+//! sweep. Completed cells are journaled when the config's
+//! [`SweepContext`] carries a journal, so interrupted sweeps resume
+//! instead of restarting. The flavours differ only in what [`CellSpec`]
+//! supplies: recipe checks, journal keys, archetype family, and the
+//! traces.
 
-use crate::journal::{self, JournalEntry};
+use crate::journal::{self, Journal, JournalEntry};
 use crate::prefetchers::PrefetcherKind;
-use crate::telemetry;
-use pmp_obs::{CellSpan, SpanOutcome};
+use pmp_obs::{CellSpan, SpanOutcome, SweepObserver};
 use pmp_sim::{MultiCoreSystem, SimResult, SimStats, System, SystemConfig};
 use pmp_traces::{Suite, Trace, TraceCache, TraceScale, TraceSpec};
 use pmp_types::HarnessError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
+
+/// What a sweep's cells report to, owned by the caller that runs the
+/// sweep: the results journal they resume from and record into, and
+/// the observer they report spans to. Either may be absent; the
+/// default context has neither, and its cells run unjournaled and
+/// unobserved. Cloning shares both, so every config built from one
+/// base with `..base.clone()` reports to the same sweep.
+#[derive(Debug, Clone, Default)]
+pub struct SweepContext {
+    /// Completed cells: looked up before a cell runs, recorded after.
+    pub journal: Option<Arc<Mutex<Journal>>>,
+    /// Per-cell spans, grid sizes and phase marks.
+    pub observer: Option<Arc<SweepObserver>>,
+}
+
+impl SweepContext {
+    /// A context journaling into `journal`, with no observer.
+    pub fn journaled(journal: Journal) -> Self {
+        SweepContext { journal: Some(Arc::new(Mutex::new(journal))), observer: None }
+    }
+
+    /// The journal, locked; `None` without one. A worker that panics
+    /// mid-record must not poison every later cell, and each record is
+    /// one whole-entry insert, so a poisoned lock is recovered.
+    pub fn journal(&self) -> Option<MutexGuard<'_, Journal>> {
+        self.journal.as_ref().map(|j| j.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+}
 
 /// Shared run parameters.
 #[derive(Debug, Clone)]
@@ -51,6 +79,9 @@ pub struct RunConfig {
     /// Part of the journal fingerprint (a warm-started cell's result
     /// is not the cold cell's result).
     pub warm_start: Option<PathBuf>,
+    /// The journal and observer the cells report to. Not part of the
+    /// journal fingerprint: neither changes a cell's result.
+    pub sweep: SweepContext,
 }
 
 impl Default for RunConfig {
@@ -61,6 +92,7 @@ impl Default for RunConfig {
             max_cycles: None,
             snapshot_dir: None,
             warm_start: None,
+            sweep: SweepContext::default(),
         }
     }
 }
@@ -301,8 +333,8 @@ pub fn run_cell(cell: &CellSpec, kind: &PrefetcherKind, cfg: &RunConfig) -> Cell
 /// The one cell pipeline every flavour shares: validate, journal
 /// lookup (all-or-nothing over the cell's keys), then load, warm start,
 /// run and snapshot inside a single `catch_unwind`, one journal record
-/// per key, and one telemetry span (no-op when telemetry is off; the
-/// observer only watches, results are bit-identical either way).
+/// per key, and one span to the context's observer (the observer only
+/// watches, results are bit-identical either way).
 pub(crate) fn run_cell_cached(
     cell: &CellSpec,
     kind: &PrefetcherKind,
@@ -313,9 +345,13 @@ pub(crate) fn run_cell_cached(
     let elapsed_ms = || start.elapsed().as_millis() as u64;
     let name = cell.name();
     let label = kind.label();
-    telemetry::cell_started(&name);
+    let observer = cfg.sweep.observer.as_deref();
+    if let Some(obs) = observer {
+        obs.begin(&name);
+    }
     let span = |wall_ms, outcome, result: Option<&SimResult>, saved_ms: Option<u64>| {
-        telemetry::cell_finished(CellSpan {
+        let Some(obs) = observer else { return };
+        obs.finish(CellSpan {
             name: name.clone(),
             group: label.clone(),
             family: cell.family().to_string(),
@@ -340,7 +376,7 @@ pub(crate) fn run_cell_cached(
         return fail(e);
     }
     let keys = cell.journal_keys(cfg, kind);
-    if let Some(entries) = journal::global_lookup_all(&keys) {
+    if let Some(entries) = cfg.sweep.journal().and_then(|mut j| j.lookup_all(&keys)) {
         // Each core entry of a mix carries the whole cell's recorded
         // wall; the resume saved that cost once, not once per core.
         let saved_ms = entries.iter().map(|e| e.wall_ms).max().unwrap_or(0);
@@ -374,14 +410,15 @@ pub(crate) fn run_cell_cached(
             instructions: stats.instructions,
             cycles: stats.cycles,
             wall_ms,
-            outcome: "ok".to_string(),
             stats,
         })
         .collect();
     let outcome = cell_outcome(cell, kind, &entries, prefetcher);
     span(wall_ms, SpanOutcome::Ok, Some(&outcome.result), None);
-    for (key, entry) in keys.iter().zip(entries) {
-        journal::global_record(key, entry);
+    if let Some(mut journal) = cfg.sweep.journal() {
+        for (key, entry) in keys.iter().zip(entries) {
+            journal.record(key, entry);
+        }
     }
     Ok(outcome)
 }
@@ -526,15 +563,18 @@ pub fn run_specs_grid(
 /// every cell's synthetic traces up front and gets each use back as its
 /// cell finishes (ran, resumed, rejected or panicked), so it frees a
 /// trace after the trace's last cell: the grid holds about one trace
-/// per worker, not all of them. `resumed` is this grid's journal-hit
-/// delta, not the process-lifetime total.
+/// per worker, not all of them. `resumed` is this grid's hit delta on
+/// the context's journal, not that journal's lifetime total.
 pub fn run_grid(
     cells: &[CellSpec],
     kinds: &[PrefetcherKind],
     cfg: &RunConfig,
 ) -> (Vec<RunOutcome>, SweepSummary) {
-    telemetry::expect_cells(cells.len() * kinds.len());
-    let hits_before = journal::global_hits();
+    if let Some(obs) = &cfg.sweep.observer {
+        obs.add_total(cells.len() * kinds.len());
+    }
+    let journal_hits = || cfg.sweep.journal().map_or(0, |j| j.hits());
+    let hits_before = journal_hits();
     let cache = TraceCache::new();
     for spec in cells.iter().flat_map(CellSpec::synthetic_specs) {
         cache.plan(spec, cfg.scale, kinds.len());
@@ -565,7 +605,7 @@ pub fn run_grid(
         }
     }
     summary.completed = outcomes.len();
-    summary.resumed = journal::global_hits().saturating_sub(hits_before);
+    summary.resumed = journal_hits().saturating_sub(hits_before);
     summary.trace_builds = cache.builds();
     summary.trace_cache_hits = cache.hits();
     summary.trace_peak_bytes = cache.peak_bytes();
@@ -579,7 +619,7 @@ pub struct SweepSummary {
     /// Cells that produced an outcome (including journal-resumed ones).
     pub completed: usize,
     /// Cells served from the journal instead of re-simulated, within
-    /// this sweep (a per-grid delta, not the process-lifetime total).
+    /// this grid (a per-grid delta, not the journal's lifetime total).
     pub resumed: u64,
     /// Isolated cell failures, in kind-major grid order.
     pub failures: Vec<CellFailure>,

@@ -1,78 +1,29 @@
-//! Process-wide sweep telemetry: the harness-side hookup for
+//! Sweep telemetry rendering: the harness side of
 //! [`pmp_obs::SweepObserver`].
 //!
-//! Like the results journal, the observer is a process-wide singleton
-//! the checked runners consult implicitly: binaries that want sweep
-//! telemetry call [`install`] once, every `run_*_checked` cell then
-//! records a [`CellSpan`] (wall-clock, cycles, instructions,
-//! resumed-vs-executed, outcome) without any experiment code changing,
-//! and the binary renders [`sweep_json`] into `results/BENCH_sweep.json`
-//! at the end. When no observer is installed every hook is a no-op, so
-//! telemetry-off sweeps pay nothing and — because the observer only
-//! ever *watches* — telemetry-on sweeps produce bit-identical
-//! simulation results (pinned by `tests/sweep_telemetry.rs`).
+//! A sweep that wants telemetry puts an observer in the
+//! [`SweepContext`] its configs carry. Every cell run under that
+//! context then records a [`CellSpan`] (wall-clock, cycles,
+//! instructions, resumed-vs-executed, outcome) without any experiment
+//! code changing, and the binary renders [`sweep_json`] into
+//! `results/BENCH_sweep.json` at the end. A context without an
+//! observer costs each cell one `Option` check, and — because the
+//! observer only ever *watches* — observed sweeps produce
+//! bit-identical simulation results (pinned by
+//! `tests/sweep_telemetry.rs`).
+//!
+//! [`SweepContext`]: crate::runner::SweepContext
+//! [`CellSpan`]: pmp_obs::CellSpan
 
-use pmp_obs::{CellSpan, Log2Histogram, SweepObserver, SweepSnapshot};
+use pmp_obs::{Log2Histogram, SweepObserver, SweepSnapshot};
 use pmp_types::json::Json;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
 
-static OBSERVER: Mutex<Option<Arc<SweepObserver>>> = Mutex::new(None);
-
-fn slot() -> std::sync::MutexGuard<'static, Option<Arc<SweepObserver>>> {
-    OBSERVER.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Install `observer` as the process-wide sweep observer and return a
-/// shared handle (progress reporters poll it).
-pub fn install(observer: SweepObserver) -> Arc<SweepObserver> {
-    let arc = Arc::new(observer);
-    *slot() = Some(arc.clone());
-    arc
-}
-
-/// Remove the global observer (subsequent sweeps run unobserved).
-pub fn clear() {
-    *slot() = None;
-}
-
-/// Whether a sweep observer is installed.
+/// Always `false`: no observer is process-wide any more, each sweep
+/// owns its own. Kept only for the benchmark's pre-run check; delete it
+/// with the next change to the benchmark.
 pub fn active() -> bool {
-    slot().is_some()
-}
-
-/// The installed observer, if any.
-pub fn handle() -> Option<Arc<SweepObserver>> {
-    slot().clone()
-}
-
-/// Mark a cell as in flight (no-op when inactive).
-pub fn cell_started(name: &str) {
-    if let Some(obs) = slot().as_ref() {
-        obs.begin(name);
-    }
-}
-
-/// Record a completed cell span (no-op when inactive).
-pub fn cell_finished(span: CellSpan) {
-    if let Some(obs) = slot().as_ref() {
-        obs.finish(span);
-    }
-}
-
-/// Mark a named sweep phase boundary (no-op when inactive).
-pub fn phase(name: &str) {
-    if let Some(obs) = slot().as_ref() {
-        obs.phase(name);
-    }
-}
-
-/// Announce `n` more expected cells, enabling the ETA (no-op when
-/// inactive).
-pub fn expect_cells(n: usize) {
-    if let Some(obs) = slot().as_ref() {
-        obs.add_total(n);
-    }
+    false
 }
 
 /// Render the observer's final state as the `BENCH_sweep.json`
@@ -139,11 +90,15 @@ pub fn sweep_json(observer: &SweepObserver, grid: &str, scale: &str) -> String {
         .pretty()
 }
 
-/// Write `BENCH_sweep.json` for the installed observer (no-op without
-/// one). Returns whether a file was written.
-pub fn write_sweep_json(path: &std::path::Path, grid: &str, scale: &str) -> bool {
-    let Some(obs) = handle() else { return false };
-    let written = crate::write_artifact(path, &sweep_json(&obs, grid, scale));
+/// Write `observer`'s `BENCH_sweep.json` to `path`, reporting a failed
+/// write on stderr. Returns whether the file was written.
+pub fn write_sweep_json(
+    observer: &SweepObserver,
+    path: &std::path::Path,
+    grid: &str,
+    scale: &str,
+) -> bool {
+    let written = crate::write_artifact(path, &sweep_json(observer, grid, scale));
     if let Err(e) = &written {
         eprintln!("telemetry: could not write {} ({e})", path.display());
     }

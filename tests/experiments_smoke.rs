@@ -3,9 +3,14 @@
 //! artifact (the assertions check structure, not numbers).
 
 use pmp_bench::experiments::{ablation, headline, motivation, multicore, sensitivity, storage};
+use pmp_bench::runner::RunConfig;
 use pmp_traces::TraceScale;
 
 const SCALE: TraceScale = TraceScale::Tiny;
+
+fn base() -> RunConfig {
+    RunConfig { scale: SCALE, ..RunConfig::default() }
+}
 
 #[test]
 fn tab1_report() {
@@ -48,7 +53,7 @@ fn storage_reports() {
 
 #[test]
 fn headline_reports() {
-    let runs = headline::HeadlineRuns::execute(SCALE);
+    let runs = headline::HeadlineRuns::execute(&base());
     assert_eq!(runs.base.len(), 125);
     assert!(!runs.outcomes("pmp").is_empty());
     for (report, needle) in [
@@ -64,11 +69,11 @@ fn headline_reports() {
 #[test]
 fn ablation_reports() {
     for (s, needle) in [
-        (ablation::tab8_design_b(SCALE), "512"),
-        (ablation::ext_schemes(SCALE), "ARE"),
-        (ablation::mfp_ablation(SCALE), "single PPT"),
-        (ablation::tab9_pattern_len(SCALE), "PMP-16"),
-        (ablation::tab11_monitor_range(SCALE), "range 8"),
+        (ablation::tab8_design_b(&base()), "512"),
+        (ablation::ext_schemes(&base()), "ARE"),
+        (ablation::mfp_ablation(&base()), "single PPT"),
+        (ablation::tab9_pattern_len(&base()), "PMP-16"),
+        (ablation::tab11_monitor_range(&base()), "range 8"),
     ] {
         assert!(s.contains(needle), "missing {needle:?} in:\n{s}");
     }
@@ -76,7 +81,7 @@ fn ablation_reports() {
 
 #[test]
 fn extension_and_placement_reports() {
-    let p = ablation::placement(SCALE);
+    let p = ablation::placement(&base());
     assert!(p.contains("bingo@llc"));
 }
 
@@ -88,14 +93,14 @@ fn per_suite_report() {
 
 #[test]
 fn tab10_report() {
-    let s = ablation::tab10_width_counter(SCALE);
+    let s = ablation::tab10_width_counter(&base());
     assert!(s.contains("12-bit trigger offset"));
     assert!(s.contains("8-bit counters"));
 }
 
 #[test]
 fn fig13_report() {
-    let s = multicore::fig13(SCALE);
+    let s = multicore::fig13(&base());
     for needle in ["Fig. 13", "homogeneous", "heterogeneous", "pmp", "pmp-limit"] {
         assert!(s.contains(needle), "missing {needle:?} in:\n{s}");
     }
@@ -107,8 +112,8 @@ fn fig13_report() {
 
 #[test]
 fn sensitivity_reports() {
-    let a = sensitivity::fig12a_bandwidth(SCALE);
+    let a = sensitivity::fig12a_bandwidth(&base());
     assert!(a.contains("800 MT/s") && a.contains("6400 MT/s"));
-    let b = sensitivity::fig12b_llc(SCALE);
+    let b = sensitivity::fig12b_llc(&base());
     assert!(b.contains("2MB") && b.contains("8MB"));
 }

@@ -18,7 +18,6 @@
 //!
 //! and say why in the PR description. A silent diff here is a bug.
 
-use pmp_bench::journal;
 use pmp_bench::prefetchers::PrefetcherKind;
 use pmp_bench::runner::{run_cell, run_grid, CellSpec, RunConfig};
 use pmp_sim::SimStats;
@@ -137,7 +136,6 @@ fn golden_stats_via_grid_scheduler() {
     if std::env::var_os("GOLDEN_PRINT").is_some() {
         return; // regeneration runs the per-trace test only
     }
-    journal::clear_global();
     let cfg = RunConfig { scale: TraceScale::Small, ..RunConfig::default() };
     let cells: Vec<CellSpec> =
         catalog().iter().take(TRACES).cloned().map(CellSpec::Synthetic).collect();

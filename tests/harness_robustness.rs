@@ -3,26 +3,27 @@
 //! validation, and journal checkpoint/resume — the failure model
 //! documented in ARCHITECTURE.md.
 
-use pmp_bench::journal::{self, Journal};
+use pmp_bench::journal::Journal;
 use pmp_bench::prefetchers::PrefetcherKind;
-use pmp_bench::runner::{run_cell, run_grid, CellSpec, MixCell, RunConfig};
+use pmp_bench::runner::{run_cell, run_grid, CellSpec, MixCell, RunConfig, SweepContext};
 use pmp_sim::SystemConfig;
 use pmp_traces::io::write_trace_file;
 use pmp_traces::{catalog, TraceScale, TraceSpec};
-use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
-
-/// The global journal is process-wide; tests that install one must not
-/// interleave. (Poisoning is irrelevant here — none of these tests
-/// panic while holding the guard, and a poisoned lock is recovered.)
-static JOURNAL_TESTS: Mutex<()> = Mutex::new(());
-
-fn journal_lock() -> MutexGuard<'static, ()> {
-    JOURNAL_TESTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use std::path::{Path, PathBuf};
 
 fn tiny_cfg() -> RunConfig {
     RunConfig { scale: TraceScale::Tiny, ..RunConfig::default() }
+}
+
+/// `cfg` journaling into the file at `path`, opened fresh or resumed.
+fn journaled(cfg: RunConfig, path: &Path, resume: bool, loaded: usize) -> RunConfig {
+    let (journal, info) = Journal::open(path, resume).expect("open journal");
+    assert_eq!((info.loaded, info.skipped), (loaded, 0), "cells loaded, no torn lines");
+    RunConfig { sweep: SweepContext::journaled(journal), ..cfg }
+}
+
+fn hits(cfg: &RunConfig) -> u64 {
+    cfg.sweep.journal().map_or(0, |j| j.hits())
 }
 
 fn synthetic(spec: &TraceSpec) -> CellSpec {
@@ -57,8 +58,6 @@ fn corrupted_trace_file(dir: &std::path::Path) -> PathBuf {
 
 #[test]
 fn panicking_cell_leaves_rest_of_grid_intact() {
-    let _guard = journal_lock();
-    journal::clear_global();
     let specs = &catalog()[..4];
     let cells: Vec<CellSpec> = specs.iter().cloned().map(CellSpec::Synthetic).collect();
     let kinds = [PrefetcherKind::None, PrefetcherKind::FaultyPanicAfter(50)];
@@ -90,8 +89,6 @@ fn panicking_cell_leaves_rest_of_grid_intact() {
 
 #[test]
 fn corrupt_trace_file_fails_its_cell_only() {
-    let _guard = journal_lock();
-    journal::clear_global();
     let dir = temp_dir("corrupt_cell");
     let cells = vec![
         CellSpec::Synthetic(catalog()[0].clone()),
@@ -111,8 +108,6 @@ fn corrupt_trace_file_fails_its_cell_only() {
 
 #[test]
 fn watchdog_and_validation_fail_fast_with_typed_errors() {
-    let _guard = journal_lock();
-    journal::clear_global();
     let spec = &catalog()[0];
 
     // Watchdog: an impossible cycle budget aborts the cell with Timeout.
@@ -141,7 +136,6 @@ fn watchdog_and_validation_fail_fast_with_typed_errors() {
 
 #[test]
 fn validation_rejects_before_journal_resume() {
-    let _guard = journal_lock();
     let dir = temp_dir("validation_before_resume");
     let file = dir.join("healthy.pmpt");
     write_trace_file(&catalog()[0].build(TraceScale::Tiny), &file).expect("write trace file");
@@ -181,42 +175,37 @@ fn validation_rejects_before_journal_resume() {
         ),
     ];
     for (case, healthy, healthy_cfg, invalid, invalid_cfg) in rows {
-        journal::install_global(Journal::in_memory());
+        let sweep = SweepContext::journaled(Journal::in_memory());
+        let healthy_cfg = RunConfig { sweep: sweep.clone(), ..healthy_cfg };
+        let invalid_cfg = RunConfig { sweep, ..invalid_cfg };
         run_cell(&healthy, &PrefetcherKind::NextLine, &healthy_cfg)
             .unwrap_or_else(|f| panic!("{case}: healthy cell must journal: {f}"));
-        let hits_before = journal::global_hits();
         let err = run_cell(&invalid, &PrefetcherKind::NextLine, &invalid_cfg)
             .expect_err("an invalid cell must be rejected, not resumed");
         assert_eq!(err.error.kind_tag(), "invalid-config", "{case}: {err}");
-        assert_eq!(journal::global_hits(), hits_before, "{case}: no resume for an invalid cell");
+        assert_eq!(hits(&invalid_cfg), 0, "{case}: no resume for an invalid cell");
     }
-    journal::clear_global();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn journal_resume_skips_exactly_the_completed_cells() {
-    let _guard = journal_lock();
     let dir = temp_dir("resume");
     let path = dir.join("journal.jsonl");
     let specs = &catalog()[..3];
     let cells: Vec<CellSpec> = specs.iter().cloned().map(CellSpec::Synthetic).collect();
     let kinds = [PrefetcherKind::NextLine, PrefetcherKind::FaultyPanicAfter(50)];
-    let cfg = tiny_cfg();
 
     // First attempt: healthy cells journal, poisoned cells fail.
-    let info = journal::init_global(&path, false).expect("open journal");
-    assert_eq!(info.loaded, 0);
+    let cfg = journaled(tiny_cfg(), &path, false, 0);
     let (first, summary1) = run_grid(&cells, &kinds, &cfg);
     assert_eq!(first.len(), 3);
     assert_eq!(summary1.failures.len(), 3);
     assert_eq!(summary1.resumed, 0, "fresh journal serves nothing");
-    journal::clear_global();
+    drop(cfg);
 
     // Resume: exactly the three completed cells load back...
-    let info = journal::init_global(&path, true).expect("reopen journal");
-    assert_eq!(info.loaded, 3, "completed cells persist");
-    assert_eq!(info.skipped, 0, "no torn lines expected");
+    let cfg = journaled(tiny_cfg(), &path, true, 3);
     let (second, summary2) = run_grid(&cells, &kinds, &cfg);
     // ...are served without re-simulation, and only the failed cells
     // re-execute (and fail again — the fault is deterministic).
@@ -228,14 +217,11 @@ fn journal_resume_skips_exactly_the_completed_cells() {
         assert_eq!(a.result.cycles, b.result.cycles, "journaled result must be bit-identical");
         assert_eq!(a.result.stats, b.result.stats);
     }
-    journal::clear_global();
 
     // A config change invalidates the key: nothing is wrongly reused.
-    journal::install_global(Journal::in_memory());
-    let bigger = RunConfig { max_cycles: Some(u64::MAX - 1), ..tiny_cfg() };
+    let bigger = RunConfig { max_cycles: Some(u64::MAX - 1), ..cfg };
     let _ = run_cell(&cells[0], &PrefetcherKind::NextLine, &bigger);
-    assert_eq!(journal::global_hits(), 0, "different config must be a different cell");
-    journal::clear_global();
+    assert_eq!(hits(&bigger), 3, "different config must be a different cell");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -260,8 +246,6 @@ fn mix_cells(n: usize) -> Vec<CellSpec> {
 
 #[test]
 fn panicking_core_fails_its_mix_cell_only() {
-    let _guard = journal_lock();
-    journal::clear_global();
     let cells = mix_cells(2);
     let kinds = [PrefetcherKind::None, PrefetcherKind::FaultyPanicAfter(50)];
     let (outcomes, summary) = run_grid(&cells, &kinds, &quad_cfg());
@@ -285,29 +269,25 @@ fn panicking_core_fails_its_mix_cell_only() {
 
 #[test]
 fn mix_journal_resume_replays_only_failed_mixes() {
-    let _guard = journal_lock();
     let dir = temp_dir("mix_resume");
     let path = dir.join("journal.jsonl");
     let cells = mix_cells(2);
     let kinds = [PrefetcherKind::NextLine, PrefetcherKind::FaultyPanicAfter(50)];
-    let cfg = quad_cfg();
 
     // First attempt: healthy mixes journal one entry per core, faulty
     // mixes fail.
-    let info = journal::init_global(&path, false).expect("open journal");
-    assert_eq!(info.loaded, 0);
+    let cfg = journaled(quad_cfg(), &path, false, 0);
     let (first, summary1) = run_grid(&cells, &kinds, &cfg);
     assert_eq!(first.len(), 2);
     assert_eq!(summary1.failures.len(), 2);
     assert_eq!(summary1.resumed, 0, "fresh journal serves nothing");
-    journal::clear_global();
+    drop(cfg);
 
-    // Resume: all four per-core entries of each healthy mix load back
-    // and are served without re-simulation; only the failed mix cells
-    // re-execute (and fail again — the fault is deterministic).
-    let info = journal::init_global(&path, true).expect("reopen journal");
-    assert_eq!(info.loaded, 8, "2 healthy mixes x 4 per-core entries");
-    assert_eq!(info.skipped, 0);
+    // Resume: all four per-core entries of each healthy mix (2 x 4)
+    // load back and are served without re-simulation; only the failed
+    // mix cells re-execute (and fail again — the fault is
+    // deterministic).
+    let cfg = journaled(quad_cfg(), &path, true, 8);
     let (second, summary2) = run_grid(&cells, &kinds, &cfg);
     // Resume accounting is per *cell*: two healthy mixes resumed, even
     // though each loaded four per-core journal entries.
@@ -319,21 +299,14 @@ fn mix_journal_resume_replays_only_failed_mixes() {
         assert_eq!(a.result.stats, b.result.stats, "aggregate must be bit-identical");
         assert_eq!(a.per_core, b.per_core, "per-core windows must be bit-identical");
     }
-    journal::clear_global();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn unjournaled_runs_behave_as_before() {
-    let _guard = journal_lock();
-    journal::clear_global();
-    assert!(!journal::global_active());
-    let out = run_cell(
-        &CellSpec::Synthetic(catalog()[0].clone()),
-        &PrefetcherKind::NextLine,
-        &tiny_cfg(),
-    )
-    .expect("healthy cell");
+    let cfg = tiny_cfg();
+    assert!(cfg.sweep.journal.is_none(), "the default context carries no journal");
+    let out = run_cell(&CellSpec::Synthetic(catalog()[0].clone()), &PrefetcherKind::NextLine, &cfg)
+        .expect("healthy cell");
     assert!(out.result.ipc() > 0.0);
-    assert_eq!(journal::global_hits(), 0);
 }

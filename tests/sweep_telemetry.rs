@@ -5,24 +5,29 @@
 //! round trip.
 
 use pmp_bench::benchdiff::BenchDiff;
-use pmp_bench::journal::{self, Journal};
+use pmp_bench::journal::Journal;
 use pmp_bench::prefetchers::PrefetcherKind;
-use pmp_bench::runner::{run_cell, run_grid, CellSpec, RunConfig};
+use pmp_bench::runner::{run_cell, run_grid, CellSpec, RunConfig, SweepContext};
 use pmp_bench::telemetry;
 use pmp_obs::{CellSpan, SpanOutcome, SweepObserver};
 use pmp_traces::{catalog, TraceScale};
-use std::sync::{Mutex, MutexGuard};
-
-/// The observer and journal are process-wide; tests that install them
-/// must not interleave.
-static TELEMETRY_TESTS: Mutex<()> = Mutex::new(());
-
-fn telemetry_lock() -> MutexGuard<'static, ()> {
-    TELEMETRY_TESTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use std::sync::{Arc, Barrier};
 
 fn tiny_cfg() -> RunConfig {
     RunConfig { scale: TraceScale::Tiny, ..RunConfig::default() }
+}
+
+/// A Tiny config reporting to `observer`, journaling into an in-memory
+/// journal when `journal` is set.
+fn observed_cfg(observer: &Arc<SweepObserver>, journal: bool) -> RunConfig {
+    let cfg = if journal { journaled_cfg() } else { tiny_cfg() };
+    let sweep = SweepContext { observer: Some(observer.clone()), ..cfg.sweep };
+    RunConfig { sweep, ..cfg }
+}
+
+/// A Tiny config journaling into its own in-memory journal.
+fn journaled_cfg() -> RunConfig {
+    RunConfig { sweep: SweepContext::journaled(Journal::in_memory()), ..tiny_cfg() }
 }
 
 fn small_grid() -> Vec<CellSpec> {
@@ -31,15 +36,14 @@ fn small_grid() -> Vec<CellSpec> {
 
 #[test]
 fn observer_counts_executed_resumed_and_panicked_cells() {
-    let _guard = telemetry_lock();
-    journal::install_global(Journal::in_memory());
     let cells = small_grid();
     // FaultyPanicAfter(50) panics inside every cell; the healthy row
     // executes. 3 × 2 grid → 3 executed + 3 panicked.
     let kinds = [PrefetcherKind::None, PrefetcherKind::FaultyPanicAfter(50)];
 
-    let obs = telemetry::install(SweepObserver::new());
-    let (outcomes, summary) = run_grid(&cells, &kinds, &tiny_cfg());
+    let obs = Arc::new(SweepObserver::new());
+    let cfg = observed_cfg(&obs, true);
+    let (outcomes, summary) = run_grid(&cells, &kinds, &cfg);
     assert_eq!(outcomes.len(), 3);
     assert_eq!(summary.failures.len(), 3);
     let snap = obs.snapshot();
@@ -54,28 +58,25 @@ fn observer_counts_executed_resumed_and_panicked_cells() {
 
     // Same grid again on the same journal: the healthy row resumes,
     // the panicking row re-fails (failures are never journaled).
-    let obs = telemetry::install(SweepObserver::new());
-    let (outcomes, summary) = run_grid(&cells, &kinds, &tiny_cfg());
+    let obs = Arc::new(SweepObserver::new());
+    let sweep = SweepContext { observer: Some(obs.clone()), ..cfg.sweep };
+    let cfg = RunConfig { sweep, ..cfg };
+    let (outcomes, summary) = run_grid(&cells, &kinds, &cfg);
     assert_eq!(outcomes.len(), 3);
     assert_eq!(summary.resumed, 3);
     let snap = obs.snapshot();
     assert_eq!(snap.executed, 0, "journal served every healthy cell");
     assert_eq!(snap.resumed, 3);
     assert_eq!(snap.panicked, 3);
-
-    telemetry::clear();
-    journal::clear_global();
 }
 
 #[test]
 fn observer_records_timeout_for_injected_slow_cell() {
-    let _guard = telemetry_lock();
-    journal::clear_global();
     // An impossible cycle budget turns an ordinary cell into the
     // "slow cell": the watchdog cuts it and the span says timeout.
-    let cfg = RunConfig { scale: TraceScale::Tiny, max_cycles: Some(100), ..RunConfig::default() };
+    let obs = Arc::new(SweepObserver::new());
+    let cfg = RunConfig { max_cycles: Some(100), ..observed_cfg(&obs, false) };
     let cells = small_grid();
-    let obs = telemetry::install(SweepObserver::new());
     let (outcomes, summary) = run_grid(&cells, &[PrefetcherKind::None], &cfg);
     assert!(outcomes.is_empty());
     assert_eq!(summary.failures.len(), 3);
@@ -89,22 +90,15 @@ fn observer_records_timeout_for_injected_slow_cell() {
         spans.iter().all(|s| !s.family.is_empty() && s.group == "baseline"),
         "spans carry group and family tags"
     );
-    telemetry::clear();
 }
 
 #[test]
 fn observer_on_and_off_produce_identical_simulation_results() {
-    let _guard = telemetry_lock();
-    journal::clear_global();
     let cells = small_grid();
     let kinds = [PrefetcherKind::None, PrefetcherKind::Pmp];
-
-    telemetry::clear();
     let (plain, _) = run_grid(&cells, &kinds, &tiny_cfg());
-
-    telemetry::install(SweepObserver::new());
-    let (observed, _) = run_grid(&cells, &kinds, &tiny_cfg());
-    telemetry::clear();
+    let obs = Arc::new(SweepObserver::new());
+    let (observed, _) = run_grid(&cells, &kinds, &observed_cfg(&obs, false));
 
     // The golden guarantee: telemetry watches, never steers. Full
     // SimStats equality cell by cell.
@@ -119,9 +113,6 @@ fn observer_on_and_off_produce_identical_simulation_results() {
 
 #[test]
 fn scheduler_matches_per_cell_reference_in_grid_order() {
-    let _guard = telemetry_lock();
-    journal::clear_global();
-    telemetry::clear();
     let cells = small_grid();
     let kinds = [PrefetcherKind::None, PrefetcherKind::NextLine, PrefetcherKind::Pmp];
     let (outcomes, summary) = run_grid(&cells, &kinds, &tiny_cfg());
@@ -146,9 +137,6 @@ fn scheduler_matches_per_cell_reference_in_grid_order() {
 
 #[test]
 fn grid_builds_each_trace_once_and_shares_it() {
-    let _guard = telemetry_lock();
-    journal::clear_global();
-    telemetry::clear();
     let cells = small_grid();
     let kinds = [PrefetcherKind::None, PrefetcherKind::NextLine, PrefetcherKind::Pmp];
     let (_, summary) = run_grid(&cells, &kinds, &tiny_cfg());
@@ -162,9 +150,6 @@ fn grid_builds_each_trace_once_and_shares_it() {
 
 #[test]
 fn trace_peak_bytes_stays_within_one_trace_per_worker() {
-    let _guard = telemetry_lock();
-    journal::clear_global();
-    telemetry::clear();
     let cells = small_grid();
     let kinds = [PrefetcherKind::None, PrefetcherKind::NextLine, PrefetcherKind::Pmp];
     let (_, summary) = run_grid(&cells, &kinds, &tiny_cfg());
@@ -191,34 +176,28 @@ fn trace_peak_bytes_stays_within_one_trace_per_worker() {
 
 #[test]
 fn trace_peak_bytes_is_zero_for_a_fully_resumed_grid() {
-    let _guard = telemetry_lock();
-    journal::install_global(Journal::in_memory());
-    telemetry::clear();
+    let cfg = journaled_cfg();
     let cells = small_grid();
-    let (_, first) = run_grid(&cells, &[PrefetcherKind::None], &tiny_cfg());
+    let (_, first) = run_grid(&cells, &[PrefetcherKind::None], &cfg);
     assert_eq!(first.trace_builds, 3);
     // Half resumed: the baseline cells release their uses without
     // loading a trace, the NextLine cells build. A debug build's
     // run_grid asserts that nothing is retained when the grid ends.
     let kinds = [PrefetcherKind::None, PrefetcherKind::NextLine];
-    let (_, second) = run_grid(&cells, &kinds, &tiny_cfg());
+    let (_, second) = run_grid(&cells, &kinds, &cfg);
     assert_eq!(second.resumed, 3);
     assert_eq!(second.trace_builds, 3, "one build per trace the executed cells need");
     assert!(second.trace_peak_bytes > 0);
     // Fully resumed: every use is released unloaded.
-    let (outcomes, third) = run_grid(&cells, &kinds, &tiny_cfg());
+    let (outcomes, third) = run_grid(&cells, &kinds, &cfg);
     assert_eq!(outcomes.len(), 6);
     assert_eq!(third.resumed, 6);
     assert_eq!(third.trace_builds, 0);
     assert_eq!(third.trace_peak_bytes, 0, "a resumed grid holds no trace");
-    journal::clear_global();
 }
 
 #[test]
 fn each_grid_builds_its_own_traces() {
-    let _guard = telemetry_lock();
-    journal::clear_global();
-    telemetry::clear();
     let cells = small_grid();
     let kinds = [PrefetcherKind::None, PrefetcherKind::NextLine];
     // No trace outlives its grid: the same grid run again builds every
@@ -233,20 +212,53 @@ fn each_grid_builds_its_own_traces() {
 
 #[test]
 fn resumed_counts_are_per_grid_deltas() {
-    let _guard = telemetry_lock();
-    journal::install_global(Journal::in_memory());
-    telemetry::clear();
+    let cfg = journaled_cfg();
     let cells = small_grid();
     let kinds = [PrefetcherKind::None];
-    let (_, s1) = run_grid(&cells, &kinds, &tiny_cfg());
+    let (_, s1) = run_grid(&cells, &kinds, &cfg);
     assert_eq!(s1.resumed, 0, "first grid executes everything");
-    let (_, s2) = run_grid(&cells, &kinds, &tiny_cfg());
+    let (_, s2) = run_grid(&cells, &kinds, &cfg);
     assert_eq!(s2.resumed, 3, "second grid resumes its own three cells");
-    // The historical bug: `resumed` reported the process-lifetime
-    // journal-hit total, so a third identical grid claimed 6.
-    let (_, s3) = run_grid(&cells, &kinds, &tiny_cfg());
+    // The historical bug: `resumed` reported the journal's lifetime
+    // hit total, so a third identical grid claimed 6.
+    let (_, s3) = run_grid(&cells, &kinds, &cfg);
     assert_eq!(s3.resumed, 3, "per-grid delta, not the cumulative total");
-    journal::clear_global();
+}
+
+#[test]
+fn concurrent_sweeps_keep_their_contexts_apart() {
+    // Two Tiny grids on disjoint traces run at once from two threads,
+    // each under its own journal and observer. Neither may see the
+    // other's cells: not in its journal, not in its observer, and not
+    // in the resumed count of a second pass.
+    let grids = [&catalog()[..3], &catalog()[3..5]];
+    let kinds = [PrefetcherKind::None, PrefetcherKind::NextLine];
+    let start = Barrier::new(grids.len());
+    std::thread::scope(|s| {
+        for specs in grids {
+            let start = &start;
+            let kinds = &kinds;
+            s.spawn(move || {
+                let cells: Vec<CellSpec> = specs.iter().cloned().map(CellSpec::Synthetic).collect();
+                let own = cells.len() * kinds.len();
+                let obs = Arc::new(SweepObserver::new());
+                let cfg = observed_cfg(&obs, true);
+                start.wait();
+                let (_, first) = run_grid(&cells, kinds, &cfg);
+                assert!(first.is_clean(), "{}", first.report());
+                assert_eq!(first.resumed, 0, "a fresh journal serves nothing");
+                assert_eq!(cfg.sweep.journal().map(|j| j.len()), Some(own), "own cells only");
+                let snap = obs.snapshot();
+                assert_eq!((snap.total, snap.done, snap.executed), (Some(own), own, own));
+                // The second pass resumes every one of the journal's
+                // `own` entries, so they are exactly this grid's keys.
+                let (_, second) = run_grid(&cells, kinds, &cfg);
+                assert_eq!(second.resumed, own as u64, "its own cells, no other grid's");
+                let snap = obs.snapshot();
+                assert_eq!((snap.done, snap.executed, snap.resumed), (2 * own, own, own));
+            });
+        }
+    });
 }
 
 #[test]
@@ -278,14 +290,12 @@ fn eta_converges_monotonically_through_the_public_api() {
 
 #[test]
 fn bench_sweep_json_round_trips_through_bench_diff() {
-    let _guard = telemetry_lock();
-    journal::clear_global();
     let cells = small_grid();
-    let obs = telemetry::install(SweepObserver::new());
-    let (_, summary) = run_grid(&cells, &[PrefetcherKind::None, PrefetcherKind::Pmp], &tiny_cfg());
+    let obs = Arc::new(SweepObserver::new());
+    let cfg = observed_cfg(&obs, false);
+    let (_, summary) = run_grid(&cells, &[PrefetcherKind::None, PrefetcherKind::Pmp], &cfg);
     assert!(summary.is_clean());
     let json = telemetry::sweep_json(&obs, "test_grid", "Tiny");
-    telemetry::clear();
 
     for needle in [
         "\"bench\": \"sweep\"",
