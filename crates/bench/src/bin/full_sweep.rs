@@ -22,8 +22,8 @@
 //! The sweep runs with telemetry on: per-cell spans aggregate into
 //! `results/BENCH_sweep.json` (wall-clock, ops/sec, per-prefetcher
 //! and per-archetype wall histograms, executed/resumed/failed counts)
-//! so sweep throughput is a tracked perf number — `bench_diff` gates
-//! on it.
+//! so sweep throughput is a tracked perf number — CI compares it with
+//! `bench_diff --report-only`, which reports without gating.
 //!
 //! The whole baseline + paper-five product runs as ONE grid through
 //! `run_grid`'s worker pool, trace-major: no per-kind barrier, and

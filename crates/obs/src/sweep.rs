@@ -106,7 +106,7 @@ pub struct SweepSnapshot {
     pub skipped: usize,
     /// Milliseconds since the observer started.
     pub elapsed_ms: u64,
-    /// Retired instructions summed over successful spans.
+    /// Retired instructions summed over executed (not resumed) spans.
     pub instructions: u64,
     /// Aggregate simulation throughput: instructions per wall second.
     pub ops_per_sec: f64,
@@ -229,12 +229,14 @@ impl SweepObserver {
             (false, SpanOutcome::Timeout) => inner.timed_out += 1,
             (false, SpanOutcome::Skip) => inner.skipped += 1,
         }
-        inner.instructions += span.instructions;
         inner.saved_ms += span.saved_ms;
         // Resumed cells are near-free: keeping them out of the timing
         // aggregates stops a mostly-resumed run from predicting that
-        // the remaining *un-resumed* cells are free too.
+        // the remaining *un-resumed* cells are free too, and keeping
+        // them out of `instructions` stops `ops_per_sec` from counting
+        // simulation this run never did.
         if !span.resumed {
+            inner.instructions += span.instructions;
             inner.busy_ms += span.wall_ms;
             if span.outcome == SpanOutcome::Ok {
                 inner.ewma_cell_ms = if inner.executed == 1 {
@@ -384,6 +386,19 @@ mod tests {
         assert_eq!(snap.failed(), 3);
         assert_eq!(snap.saved_ms, 42);
         assert_eq!(snap.eta_ms, Some(0), "all cells done: ETA is zero");
+    }
+
+    #[test]
+    fn resumed_spans_add_no_instructions() {
+        let obs = SweepObserver::manual_clock();
+        obs.finish(span("a", "pmp", 10, SpanOutcome::Ok));
+        let mut resumed = span("b", "pmp", 0, SpanOutcome::Ok);
+        resumed.resumed = true;
+        resumed.instructions = 7000;
+        obs.finish(resumed);
+        let snap = obs.snapshot_at(1000);
+        assert_eq!(snap.instructions, 5000, "only the executed span ran");
+        assert_eq!(snap.ops_per_sec, 5000.0);
     }
 
     #[test]

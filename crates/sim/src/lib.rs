@@ -17,12 +17,11 @@
 //!   `width` instructions per cycle, load/store queues, and optional
 //!   load→load dependencies so pointer-chasing traces serialise
 //!   ([`cpu`]);
-//! * a core-generic execution engine owning the per-op pipeline
-//!   (dispatch, demand access, event delivery, prefetcher training,
-//!   prefetch issue, measured-window accounting) exactly once
-//!   ([`engine`]), specialised by single-core ([`system`]) and 4-core
-//!   ([`multicore`]) drivers with the paper's Table IV configuration as
-//!   defaults ([`config`]).
+//! * one system type for N cores, [`MultiCoreSystem`], owning the
+//!   per-op pipeline (dispatch, demand access, event delivery,
+//!   prefetcher training, prefetch issue, measured-window accounting)
+//!   exactly once, and [`System`], its 1-core face ([`system`]), with
+//!   the paper's Table IV configuration as defaults ([`config`]).
 //!
 //! Prefetchers attach at the L1D through the
 //! [`pmp_prefetch::Prefetcher`] trait and are trained on demand loads,
@@ -33,16 +32,16 @@
 //! ```
 //! use pmp_sim::{System, SystemConfig};
 //! use pmp_prefetch::NextLine;
-//! use pmp_types::{MemAccess, Addr, Pc};
+//! use pmp_types::{MemAccess, Addr, Pc, TraceOp};
 //!
-//! // A tiny streaming trace: 512 sequential loads.
-//! let accesses: Vec<MemAccess> = (0..512)
-//!     .map(|i| MemAccess::load(Pc(0x400), Addr(0x10_0000 + i * 64)))
+//! // A tiny streaming trace: 512 sequential loads, one instruction each.
+//! let ops: Vec<TraceOp> = (0..512)
+//!     .map(|i| TraceOp::new(MemAccess::load(Pc(0x400), Addr(0x10_0000 + i * 64)), 0, false))
 //!     .collect();
 //!
 //! let cfg = SystemConfig::default();
-//! let base = System::new(cfg.clone(), Box::new(pmp_prefetch::NoPrefetch)).run_accesses(&accesses);
-//! let next = System::new(cfg, Box::new(NextLine::new(4))).run_accesses(&accesses);
+//! let base = System::new(cfg.clone(), Box::new(pmp_prefetch::NoPrefetch)).run(&ops, 0);
+//! let next = System::new(cfg, Box::new(NextLine::new(4))).run(&ops, 0);
 //! assert!(next.cycles <= base.cycles);
 //! ```
 
@@ -55,20 +54,18 @@ pub mod cpu;
 #[cfg(test)]
 mod cpu_ref;
 pub mod dram;
-pub mod engine;
+mod engine;
 pub mod hierarchy;
 pub mod mshr;
-pub mod multicore;
 pub mod queue;
 pub mod stats;
 pub mod system;
 pub mod tlb;
 
 pub use config::{CacheConfig, CoreConfig, DramConfig, SystemConfig};
-pub use engine::{CoreDramTraffic, Engine};
+pub use engine::{CoreDramTraffic, MultiCoreResult, MultiCoreSystem};
 pub use tlb::{Tlb, TlbConfig, TlbStats};
 pub use hierarchy::{CoreMem, SharedMem};
-pub use multicore::{MultiCoreResult, MultiCoreSystem};
 pub use pmp_obs::{
     EventKind, IntervalSample, IntervalSampler, NullTracer, ObsCollector, SampleInput, TraceEvent,
     Tracer,

@@ -1,18 +1,15 @@
-//! The single-core system driver: a thin 1-core specialization of the
-//! core-generic [`Engine`].
+//! The single-core system: the 1-core face of [`MultiCoreSystem`].
 //!
-//! The per-op pipeline (warmup snapshot, non-memory dispatch, demand
-//! access, event delivery, prefetcher training, prefetch issue) lives
-//! in `crate::engine` and is shared bit-for-bit with the multi-core
-//! driver; `System` only selects the sequential schedule (run the trace
-//! in order, drain the ROB at the end) and fixes the core count at one.
+//! `System` holds a 1-core [`MultiCoreSystem`], hides the core index,
+//! and selects the sequential schedule (run the trace in order, drain
+//! the ROB at the end); the per-op pipeline is the multi-core one.
 
 use crate::config::SystemConfig;
-use crate::engine::Engine;
+use crate::engine::MultiCoreSystem;
 use crate::stats::SimStats;
 use pmp_obs::{IntervalSample, NullTracer, Tracer};
-use pmp_prefetch::{FeedbackKind, Prefetcher};
-use pmp_types::{HarnessError, MemAccess, TraceOp};
+use pmp_prefetch::Prefetcher;
+use pmp_types::{HarnessError, TraceOp};
 
 /// Result of a single-core simulation.
 #[derive(Debug, Clone)]
@@ -45,7 +42,7 @@ impl SimResult {
 /// to; the default [`NullTracer`] is a ZST whose emits compile away, so
 /// uninstrumented simulations pay nothing for the instrumentation.
 pub struct System<T: Tracer = NullTracer> {
-    engine: Engine<T>,
+    engine: MultiCoreSystem<T>,
 }
 
 impl System<NullTracer> {
@@ -60,7 +57,7 @@ impl<T: Tracer> System<T> {
     /// Build a system whose memory operations report lifecycle events
     /// to `tracer`.
     pub fn with_tracer(cfg: SystemConfig, prefetcher: Box<dyn Prefetcher>, tracer: T) -> Self {
-        System { engine: Engine::with_tracer(cfg, vec![prefetcher], tracer) }
+        System { engine: MultiCoreSystem::with_tracer(cfg, vec![prefetcher], tracer) }
     }
 
     /// Record an [`IntervalSample`] every `period` cycles during `run`.
@@ -136,18 +133,6 @@ impl<T: Tracer> System<T> {
         self.engine.run_sequential(ops, warmup_instructions, max_cycles)
     }
 
-    /// Convenience wrapper: run a plain access list (every access one
-    /// instruction, no warm-up).
-    pub fn run_accesses(&mut self, accesses: &[MemAccess]) -> SimResult {
-        let ops: Vec<TraceOp> = accesses.iter().map(|a| TraceOp::new(*a, 0, false)).collect();
-        self.run(&ops, 0)
-    }
-
-    /// Feedback hook used by tests to poke the prefetcher directly.
-    pub fn prefetcher_feedback(&mut self, line: pmp_types::LineAddr, kind: FeedbackKind) {
-        self.engine.prefetcher_feedback(0, line, kind);
-    }
-
     /// Snapshot the prefetcher's learned state to `path`, crash-safely.
     ///
     /// # Errors
@@ -182,7 +167,7 @@ impl<T: Tracer> System<T> {
 mod tests {
     use super::*;
     use pmp_prefetch::{NextLine, NoPrefetch};
-    use pmp_types::{Addr, CacheLevel, Pc};
+    use pmp_types::{Addr, CacheLevel, MemAccess, Pc};
 
     fn stream_ops(n: u64) -> Vec<TraceOp> {
         (0..n)

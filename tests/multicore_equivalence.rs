@@ -1,24 +1,20 @@
-//! Equivalence and determinism pins for the unified execution engine.
+//! Equivalence and determinism pins for the multi-core system.
 //!
 //! The per-op pipeline used to exist twice — once in `System::run`, once
 //! in `MultiCoreSystem::step_core` — and now lives exactly once in
-//! `pmp_sim::engine`. These tests pin the contract of that refactor:
+//! [`MultiCoreSystem`], whose 1-core face is `System` (pinned by
+//! `tests/golden_stats.rs`). These tests pin the multi-core side:
 //!
-//! 1. driving the 1-core [`Engine`] directly is bit-identical to the
-//!    [`System`] wrapper over the same grid `tests/golden_stats.rs`
-//!    freezes (so, by transitivity through the frozen golden table, the
-//!    engine is bit-identical to the pre-refactor single-core driver);
-//! 2. 4-core runs are themselves pinned with golden per-core
-//!    fingerprints (regenerate with `GOLDEN_PRINT=1 ... -- --nocapture`
-//!    and justify the semantic change, exactly like `golden_stats`);
-//! 3. a heterogeneous Table VII mix is deterministic run-to-run;
-//! 4. the multi-core bandwidth-delivery bugfix: DSPatch's modulation
+//! 1. 4-core runs are pinned with golden per-core fingerprints
+//!    (regenerate with `GOLDEN_PRINT=1 ... -- --nocapture` and justify
+//!    the semantic change, exactly like `golden_stats`);
+//! 2. a heterogeneous Table VII mix is deterministic run-to-run;
+//! 3. the multi-core bandwidth-delivery bugfix: DSPatch's modulation
 //!    engages (its `bw_measured` gauge flips to 1) under shared-DRAM
-//!    contention, which never happened before the engine refactor.
+//!    contention, which never happened before the pipeline was shared.
 
 use pmp_bench::prefetchers::PrefetcherKind;
-use pmp_bench::runner::{run_cell, CellSpec, RunConfig};
-use pmp_sim::{Engine, MultiCoreSystem, SimStats, SystemConfig};
+use pmp_sim::{MultiCoreSystem, SimStats, SystemConfig};
 use pmp_traces::mix::{table_vii_mixes, MpkiClass};
 use pmp_traces::{catalog, TraceScale, TraceSpec};
 use pmp_types::TraceOp;
@@ -63,43 +59,6 @@ fn fingerprint(s: &SimStats) -> u64 {
         }
     }
     h
-}
-
-const KINDS: [PrefetcherKind; 4] = [
-    PrefetcherKind::None,
-    PrefetcherKind::NextLine,
-    PrefetcherKind::DsPatch,
-    PrefetcherKind::Pmp,
-];
-
-/// The engine's 1-core sequential schedule must reproduce the `System`
-/// wrapper counter-for-counter over the exact grid `golden_stats.rs`
-/// freezes: same six traces, same four prefetchers, same Small scale.
-/// `golden_stats` pins `System` to the pre-refactor simulator, so
-/// equality here extends that pin to the engine itself.
-#[test]
-fn engine_sequential_is_bit_identical_to_system() {
-    let cfg = RunConfig { scale: TraceScale::Small, ..RunConfig::default() };
-    for spec in catalog().iter().take(6) {
-        let trace = spec.build(cfg.scale);
-        for kind in &KINDS {
-            let via_system =
-                run_cell(&CellSpec::Synthetic(spec.clone()), kind, &cfg).expect("healthy cell");
-            let mut engine = Engine::new(cfg.system.clone(), vec![kind.build()]);
-            let direct = engine
-                .run_sequential(&trace.ops, cfg.scale.warmup_instructions(), u64::MAX)
-                .expect("u64::MAX budget cannot time out");
-            assert_eq!(
-                fingerprint(&direct.stats),
-                fingerprint(&via_system.result.stats),
-                "engine diverged from System on {} × {}",
-                spec.name,
-                kind.label()
-            );
-            assert_eq!(direct.instructions, via_system.result.instructions);
-            assert_eq!(direct.cycles, via_system.result.cycles);
-        }
-    }
 }
 
 /// Prefetchers pinned in the multi-core golden: the baseline and PMP.
