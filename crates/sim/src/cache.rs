@@ -119,12 +119,6 @@ impl Cache {
         })
     }
 
-    /// Peek at metadata without updating LRU.
-    #[inline]
-    pub fn peek(&self, line: LineAddr) -> Option<&LineMeta> {
-        self.find(line).map(|i| &self.meta[i])
-    }
-
     /// Insert `line` with `meta`, evicting the LRU way if the set is
     /// full. If the line is already resident no eviction occurs: its
     /// LRU is refreshed and the incoming dirty bit is merged into the
@@ -184,8 +178,13 @@ impl Cache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// `line`'s metadata without updating LRU.
+    pub(crate) fn peek(c: &Cache, line: LineAddr) -> Option<&LineMeta> {
+        c.find(line).map(|i| &c.meta[i])
+    }
 
     fn tiny() -> Cache {
         Cache::new(&CacheConfig { sets: 2, ways: 2, latency: 1, mshrs: 4, pq_entries: 4 })
@@ -228,11 +227,11 @@ mod tests {
     fn dirty_reinsert_over_clean_line_merges_dirty_bit() {
         let mut c = tiny();
         c.insert(LineAddr(0), LineMeta::default());
-        assert!(!c.peek(LineAddr(0)).unwrap().dirty);
+        assert!(!peek(&c, LineAddr(0)).unwrap().dirty);
         // A store fill finds the line already resident: the dirty bit
         // must survive the re-insert.
         c.insert(LineAddr(0), LineMeta { dirty: true, ..LineMeta::default() });
-        assert!(c.peek(LineAddr(0)).unwrap().dirty);
+        assert!(peek(&c, LineAddr(0)).unwrap().dirty);
         // ... and the eventual eviction reports a dirty victim
         // (write-back happens).
         c.insert(LineAddr(2), LineMeta::default());
@@ -249,7 +248,7 @@ mod tests {
         let meta = LineMeta { prefetched: true, pf_origin: CacheLevel::L1D, dirty: true };
         c.insert(LineAddr(0), meta);
         c.insert(LineAddr(0), LineMeta::default());
-        let m = c.peek(LineAddr(0)).unwrap();
+        let m = peek(&c, LineAddr(0)).unwrap();
         assert!(m.dirty, "clean re-insert must not launder the dirty bit");
         assert!(m.prefetched, "re-insert must not consume the prefetch marker");
     }
@@ -285,6 +284,6 @@ mod tests {
         let m = c.lookup(LineAddr(8)).unwrap();
         assert!(m.prefetched);
         m.prefetched = false;
-        assert!(!c.peek(LineAddr(8)).unwrap().prefetched);
+        assert!(!peek(&c, LineAddr(8)).unwrap().prefetched);
     }
 }

@@ -36,7 +36,7 @@
 
 use crate::config::SystemConfig;
 use crate::cpu::Cpu;
-use crate::hierarchy::{demand_access, prefetch_access, CoreMem, MemEvents, SharedMem};
+use crate::hierarchy::{demand_access, occupancy, prefetch_access, CoreMem, MemEvents, SharedMem};
 use crate::stats::{diff_stats, LevelStats, SimStats};
 use crate::system::SimResult;
 use pmp_obs::{IntervalSample, IntervalSampler, NullTracer, SampleInput, Tracer};
@@ -388,15 +388,14 @@ impl<T: Tracer> MultiCoreSystem<T> {
         let misses =
             [miss(CacheLevel::L1D), miss(CacheLevel::L2C), miss(CacheLevel::Llc)];
         let instructions = self.drivers[who].dispatched;
-        let pq = self.mems[who].pq_occupancy(now);
-        let mshr = self.mems[who].mshr_occupancy(now);
+        let (pq_occupancy, mshr_occupancy) = occupancy(&mut self.mems, &mut self.shared, who, now);
         let input = SampleInput {
             cycle: now,
             instructions,
             misses,
             dram_requests: self.shared.dram.requests(),
-            pq_occupancy: [pq[0], pq[1], self.shared.llc_pq_occupancy(now)],
-            mshr_occupancy: [mshr[0], mshr[1], self.shared.llc_mshr_occupancy(now)],
+            pq_occupancy,
+            mshr_occupancy,
         };
         if let Some(sampler) = &mut self.drivers[who].sampler {
             let sample = sampler.record(input);

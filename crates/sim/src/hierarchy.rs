@@ -1,10 +1,15 @@
 //! The three-level inclusive cache hierarchy.
 //!
-//! [`CoreMem`] holds a core's private L1D and L2C; [`SharedMem`] holds
-//! the (possibly shared) inclusive LLC and the DRAM model. Free
-//! functions walk demand and prefetch requests through the levels,
-//! because the multi-core system needs simultaneous mutable access to
-//! all cores' private caches for back-invalidation.
+//! Every level is one `Level`: a directory, an MSHR file, a prefetch
+//! queue and a hit latency. [`CoreMem`] holds a core's private L1D and
+//! L2C plus its DTLB; [`SharedMem`] holds the (possibly shared)
+//! inclusive LLC and the DRAM model. Free functions walk demand and
+//! prefetch requests through the levels, because the multi-core system
+//! needs simultaneous mutable access to all cores' private caches for
+//! back-invalidation. They reach a level only through `level_mut`, and
+//! the demand walk is one loop over [`CacheLevel::ALL`] plus a DRAM
+//! tail; `hierarchy_ref` (test-only) keeps the hand-unrolled walk it
+//! replaced and a differential test holds the two equal.
 //!
 //! ## Timing model
 //!
@@ -17,48 +22,50 @@
 //! backpressure, and DRAM channel queuing.
 
 use crate::cache::{Cache, LineMeta};
-use crate::config::SystemConfig;
+use crate::config::{CacheConfig, SystemConfig};
 use crate::dram::Dram;
 use crate::mshr::Mshr;
 use crate::queue::PrefetchQueue;
-use crate::tlb::Tlb;
 use crate::stats::SimStats;
+use crate::tlb::Tlb;
 use pmp_obs::{DropReason, TraceEvent, Tracer};
 use pmp_prefetch::{FeedbackKind, PrefetchRequest};
 use pmp_types::{CacheLevel, LineAddr};
 
-/// A core's private cache levels (L1D + L2C) with their MSHRs and
-/// prefetch queues.
+/// One cache level: its directory, MSHR file, prefetch queue and hit
+/// latency.
+#[derive(Debug)]
+struct Level {
+    cache: Cache,
+    mshr: Mshr,
+    pq: PrefetchQueue,
+    latency: u64,
+}
+
+impl Level {
+    fn new(cfg: &CacheConfig) -> Self {
+        Level {
+            cache: Cache::new(cfg),
+            mshr: Mshr::new(cfg.mshrs),
+            pq: PrefetchQueue::new(cfg.pq_entries),
+            latency: cfg.latency,
+        }
+    }
+}
+
+/// A core's private cache levels (L1D + L2C) and its data TLB.
 #[derive(Debug)]
 pub struct CoreMem {
-    /// L1 data cache directory.
-    pub l1d: Cache,
-    /// L2 cache directory.
-    pub l2c: Cache,
-    l1_mshr: Mshr,
-    l2_mshr: Mshr,
-    l1_pq: PrefetchQueue,
-    l2_pq: PrefetchQueue,
-    l1_lat: u64,
-    l2_lat: u64,
-    /// Per-core data TLB (demand accesses translate through it).
-    pub tlb: Tlb,
+    l1d: Level,
+    l2c: Level,
+    /// Demand accesses translate through it; prefetches do not.
+    tlb: Tlb,
 }
 
 impl CoreMem {
     /// Build private caches from the system configuration.
     pub fn new(cfg: &SystemConfig) -> Self {
-        CoreMem {
-            l1d: Cache::new(&cfg.l1d),
-            l2c: Cache::new(&cfg.l2c),
-            l1_mshr: Mshr::new(cfg.l1d.mshrs),
-            l2_mshr: Mshr::new(cfg.l2c.mshrs),
-            l1_pq: PrefetchQueue::new(cfg.l1d.pq_entries),
-            l2_pq: PrefetchQueue::new(cfg.l2c.pq_entries),
-            l1_lat: cfg.l1d.latency,
-            l2_lat: cfg.l2c.latency,
-            tlb: Tlb::new(&cfg.tlb),
-        }
+        CoreMem { l1d: Level::new(&cfg.l1d), l2c: Level::new(&cfg.l2c), tlb: Tlb::new(&cfg.tlb) }
     }
 
     /// The prefetch budget exposed to the prefetcher via
@@ -69,30 +76,16 @@ impl CoreMem {
     /// admission stage would drop, so the budget must not exceed what
     /// the memory system can actually accept this cycle.
     pub fn l1_pq_free(&mut self, now: u64) -> usize {
-        let pq = self.l1_pq.free(now);
-        let mshr = self.l1_mshr.free(now).saturating_sub(2);
+        let pq = self.l1d.pq.free(now);
+        let mshr = self.l1d.mshr.free(now).saturating_sub(2);
         pq.min(mshr)
-    }
-
-    /// Current PQ occupancy of the private levels at `now`: `[L1D, L2C]`.
-    pub fn pq_occupancy(&mut self, now: u64) -> [u32; 2] {
-        [self.l1_pq.occupancy(now) as u32, self.l2_pq.occupancy(now) as u32]
-    }
-
-    /// Current MSHR occupancy of the private levels at `now`: `[L1D, L2C]`.
-    pub fn mshr_occupancy(&mut self, now: u64) -> [u32; 2] {
-        [self.l1_mshr.occupancy(now) as u32, self.l2_mshr.occupancy(now) as u32]
     }
 }
 
 /// The shared memory system: inclusive LLC plus DRAM.
 #[derive(Debug)]
 pub struct SharedMem {
-    /// Last-level cache directory (shared in multi-core).
-    pub llc: Cache,
-    llc_mshr: Mshr,
-    llc_pq: PrefetchQueue,
-    llc_lat: u64,
+    llc: Level,
     /// The DRAM model.
     pub dram: Dram,
 }
@@ -100,24 +93,41 @@ pub struct SharedMem {
 impl SharedMem {
     /// Build the shared memory system from the configuration.
     pub fn new(cfg: &SystemConfig) -> Self {
-        SharedMem {
-            llc: Cache::new(&cfg.llc),
-            llc_mshr: Mshr::new(cfg.llc.mshrs),
-            llc_pq: PrefetchQueue::new(cfg.llc.pq_entries),
-            llc_lat: cfg.llc.latency,
-            dram: Dram::new(&cfg.dram),
-        }
+        SharedMem { llc: Level::new(&cfg.llc), dram: Dram::new(&cfg.dram) }
     }
+}
 
-    /// Current LLC PQ occupancy at `now`.
-    pub fn llc_pq_occupancy(&mut self, now: u64) -> u32 {
-        self.llc_pq.occupancy(now) as u32
+/// Core `who`'s `level`: its private L1D or L2C, or the shared LLC.
+/// The walks reach every level through here.
+#[inline]
+fn level_mut<'a>(
+    cores: &'a mut [CoreMem],
+    shared: &'a mut SharedMem,
+    who: usize,
+    level: CacheLevel,
+) -> &'a mut Level {
+    match level {
+        CacheLevel::L1D => &mut cores[who].l1d,
+        CacheLevel::L2C => &mut cores[who].l2c,
+        CacheLevel::Llc => &mut shared.llc,
     }
+}
 
-    /// Current LLC MSHR occupancy at `now`.
-    pub fn llc_mshr_occupancy(&mut self, now: u64) -> u32 {
-        self.llc_mshr.occupancy(now) as u32
+/// PQ and MSHR occupancy of core `who`'s levels at `now`, each
+/// indexed by [`CacheLevel::index`].
+pub fn occupancy(
+    cores: &mut [CoreMem],
+    shared: &mut SharedMem,
+    who: usize,
+    now: u64,
+) -> ([u32; 3], [u32; 3]) {
+    let (mut pq, mut mshr) = ([0; 3], [0; 3]);
+    for level in CacheLevel::ALL {
+        let lv = level_mut(cores, shared, who, level);
+        pq[level.index()] = lv.pq.occupancy(now) as u32;
+        mshr[level.index()] = lv.mshr.occupancy(now) as u32;
     }
+    (pq, mshr)
 }
 
 /// Side effects of one memory operation that the driving system must
@@ -190,69 +200,43 @@ fn insert_line<T: Tracer>(
     events: &mut MemEvents,
     tracer: &mut T,
 ) {
-    match level {
-        CacheLevel::L1D => {
-            if let Some(ev) = cores[who].l1d.insert(line, meta) {
-                account_eviction(CacheLevel::L1D, ev.line, ev.meta, now, stats, events, tracer);
-                if ev.meta.dirty {
-                    // Write back into the L2 copy (inclusive hierarchy).
-                    if let Some(outer) = cores[who].l2c.lookup(ev.line) {
-                        outer.dirty = true;
-                    }
-                }
+    let Some(ev) = level_mut(cores, shared, who, level).cache.insert(line, meta) else {
+        return;
+    };
+    account_eviction(level, ev.line, ev.meta, now, stats, events, tracer);
+    if let Some(outer) = level.outer() {
+        // Write back into the outer copy (inclusive hierarchy).
+        if ev.meta.dirty {
+            if let Some(copy) = level_mut(cores, shared, who, outer).cache.lookup(ev.line) {
+                copy.dirty = true;
             }
         }
-        CacheLevel::L2C => {
-            if let Some(ev) = cores[who].l2c.insert(line, meta) {
-                account_eviction(CacheLevel::L2C, ev.line, ev.meta, now, stats, events, tracer);
-                if ev.meta.dirty {
-                    if let Some(outer) = shared.llc.lookup(ev.line) {
-                        outer.dirty = true;
-                    }
-                }
+        return;
+    }
+    // Inclusive LLC: back-invalidate every core's private copies; the
+    // eviction is dirty if any copy is.
+    let mut dirty = ev.meta.dirty;
+    for core in 0..cores.len() {
+        for inner in [CacheLevel::L2C, CacheLevel::L1D] {
+            let Some(m) = level_mut(cores, shared, core, inner).cache.invalidate(ev.line) else {
+                continue;
+            };
+            dirty |= m.dirty;
+            if m.prefetched {
+                stats.level_mut(inner).pf_useless += 1;
+                let useless = TraceEvent::PrefetchUseless { line: ev.line, level: inner, cycle: now };
+                tracer.emit(useless);
+            }
+            if inner == CacheLevel::L1D && core == who {
+                events.l1d_evictions.push(ev.line);
             }
         }
-        CacheLevel::Llc => {
-            if let Some(ev) = shared.llc.insert(line, meta) {
-                account_eviction(CacheLevel::Llc, ev.line, ev.meta, now, stats, events, tracer);
-                // Inclusive LLC: back-invalidate every core's private
-                // copies; the eviction is dirty if any copy is.
-                let mut dirty = ev.meta.dirty;
-                for (ci, core) in cores.iter_mut().enumerate() {
-                    if let Some(m) = core.l2c.invalidate(ev.line) {
-                        dirty |= m.dirty;
-                        if m.prefetched {
-                            stats.level_mut(CacheLevel::L2C).pf_useless += 1;
-                            tracer.emit(TraceEvent::PrefetchUseless {
-                                line: ev.line,
-                                level: CacheLevel::L2C,
-                                cycle: now,
-                            });
-                        }
-                    }
-                    if let Some(m) = core.l1d.invalidate(ev.line) {
-                        dirty |= m.dirty;
-                        if m.prefetched {
-                            stats.level_mut(CacheLevel::L1D).pf_useless += 1;
-                            tracer.emit(TraceEvent::PrefetchUseless {
-                                line: ev.line,
-                                level: CacheLevel::L1D,
-                                cycle: now,
-                            });
-                        }
-                        if ci == who {
-                            events.l1d_evictions.push(ev.line);
-                        }
-                    }
-                }
-                // Write-back caches: a dirty LLC eviction writes the
-                // line to DRAM, consuming channel bandwidth.
-                if dirty {
-                    shared.dram.write_back(ev.line, now, tracer);
-                    stats.dram_writes += 1;
-                }
-            }
-        }
+    }
+    // Write-back caches: a dirty LLC eviction writes the line to DRAM,
+    // consuming channel bandwidth.
+    if dirty {
+        shared.dram.write_back(ev.line, now, tracer);
+        stats.dram_writes += 1;
     }
 }
 
@@ -274,257 +258,77 @@ pub fn demand_access<T: Tracer>(
     events: &mut MemEvents,
     tracer: &mut T,
 ) -> (u64, bool) {
-    // ---- Address translation (demand side only) ----
+    // Address translation (demand side only).
     let mut latency = cores[who].tlb.translate(line);
-
-    // ---- L1D ----
-    {
-        let s = stats.level_mut(CacheLevel::L1D);
-        if is_load {
-            s.load_accesses += 1;
-        } else {
-            s.store_accesses += 1;
-        }
-    }
-    let l1_lat = cores[who].l1_lat;
-    if let Some(ready) = cores[who].l1_mshr.inflight(now, line) {
-        // Miss merged with an in-flight fill.
-        let s = stats.level_mut(CacheLevel::L1D);
-        if is_load {
-            s.load_misses += 1;
-        } else {
-            s.store_misses += 1;
-        }
-        // If that fill was a prefetch, the prefetch was late but useful.
-        if let Some(meta) = cores[who].l1d.lookup(line) {
-            if meta.prefetched {
-                meta.prefetched = false;
-                stats.level_mut(CacheLevel::L1D).pf_useful += 1;
-                stats.level_mut(CacheLevel::L1D).pf_late += 1;
-                events.feedback.push((line, FeedbackKind::Useful));
-                tracer.emit(TraceEvent::PrefetchUseful {
-                    line,
-                    level: CacheLevel::L1D,
-                    cycle: now,
-                    late: true,
-                });
+    // Walk outward until a level (or DRAM) supplies the line: `found`
+    // counts the levels inside the supplier, which the tail fills.
+    let (found, total) = 'walk: {
+        for level in CacheLevel::ALL {
+            let lv = level_mut(cores, shared, who, level);
+            // L1D is probed at issue and adds the TLB latency on top of
+            // an in-flight wait; outer levels are probed when the request
+            // reaches them, so the TLB overlaps the wait there (pinned by
+            // `tests::l1d_inflight_wait_stacks_the_tlb_latency`).
+            let (at, outside) =
+                if level == CacheLevel::L1D { (now, latency) } else { (now + latency, 0) };
+            // Probe the MSHR before the directory: an in-flight line is
+            // already in the directory but has not arrived.
+            let inflight = lv.mshr.inflight(at, line);
+            let resident = lv.cache.lookup(line);
+            let found_here = resident.is_some();
+            stats.level_mut(level).count_demand(is_load, inflight.is_some() || !found_here);
+            if let Some(meta) = resident {
+                if meta.prefetched {
+                    // A demanded prefetch was useful; late if its fill is
+                    // still in flight.
+                    meta.prefetched = false;
+                    let late = inflight.is_some();
+                    let s = stats.level_mut(level);
+                    s.pf_useful += 1;
+                    s.pf_late += u64::from(late);
+                    // Only the L1D prefetcher hears about it.
+                    if level == CacheLevel::L1D {
+                        events.feedback.push((line, FeedbackKind::Useful));
+                    }
+                    tracer.emit(TraceEvent::PrefetchUseful { line, level, cycle: now, late });
+                }
+                // Only an L1D copy that has arrived is a hit; a store
+                // dirties it in place.
+                if level == CacheLevel::L1D && inflight.is_none() {
+                    meta.dirty |= !is_load;
+                    return (latency + lv.latency, true);
+                }
             }
-        }
-        let total = latency + (ready - now).max(l1_lat);
-        tracer.emit(TraceEvent::DemandMiss { line, cycle: now, latency: total });
-        return (total, false);
-    }
-    if let Some(meta) = cores[who].l1d.lookup(line) {
-        if meta.prefetched {
-            meta.prefetched = false;
-            stats.level_mut(CacheLevel::L1D).pf_useful += 1;
-            events.feedback.push((line, FeedbackKind::Useful));
-            tracer.emit(TraceEvent::PrefetchUseful {
-                line,
-                level: CacheLevel::L1D,
-                cycle: now,
-                late: false,
-            });
-        }
-        if !is_load {
-            meta.dirty = true;
-        }
-        return (latency + l1_lat, true);
-    }
-    // True L1D miss.
-    {
-        let s = stats.level_mut(CacheLevel::L1D);
-        if is_load {
-            s.load_misses += 1;
-        } else {
-            s.store_misses += 1;
-        }
-    }
-    latency += l1_lat + cores[who].l1_mshr.wait_for_free(now, CacheLevel::L1D, tracer);
-
-    // ---- L2C ----
-    let l2_lat = cores[who].l2_lat;
-    {
-        let s = stats.level_mut(CacheLevel::L2C);
-        if is_load {
-            s.load_accesses += 1;
-        } else {
-            s.store_accesses += 1;
-        }
-    }
-    let l2_resolved = if let Some(ready) = cores[who].l2_mshr.inflight(now + latency, line) {
-        let s = stats.level_mut(CacheLevel::L2C);
-        if is_load {
-            s.load_misses += 1;
-        } else {
-            s.store_misses += 1;
-        }
-        if let Some(meta) = cores[who].l2c.lookup(line) {
-            if meta.prefetched {
-                meta.prefetched = false;
-                stats.level_mut(CacheLevel::L2C).pf_useful += 1;
-                stats.level_mut(CacheLevel::L2C).pf_late += 1;
-                tracer.emit(TraceEvent::PrefetchUseful {
-                    line,
-                    level: CacheLevel::L2C,
-                    cycle: now,
-                    late: true,
-                });
+            if let Some(ready) = inflight {
+                // Miss merged with an in-flight fill.
+                let wait = ready.saturating_sub(now).max(latency - outside + lv.latency);
+                break 'walk (level.index(), outside + wait);
             }
+            if found_here {
+                break 'walk (level.index(), latency + lv.latency);
+            }
+            latency += lv.latency + lv.mshr.wait_for_free(at, level, tracer);
         }
-        Some(ready.saturating_sub(now).max(latency + l2_lat))
-    } else if let Some(meta) = cores[who].l2c.lookup(line) {
-        if meta.prefetched {
-            meta.prefetched = false;
-            stats.level_mut(CacheLevel::L2C).pf_useful += 1;
-            tracer.emit(TraceEvent::PrefetchUseful {
-                line,
-                level: CacheLevel::L2C,
-                cycle: now,
-                late: false,
-            });
-        }
-        Some(latency + l2_lat)
-    } else {
-        None
+        latency += shared.dram.access(now + latency, line, tracer);
+        stats.dram_requests += 1;
+        (CacheLevel::ALL.len(), latency)
     };
-    if let Some(total) = l2_resolved {
-        // Fill L1D from L2.
-        let ready = now + total;
-        cores[who].l1_mshr.allocate(now, line, ready);
-        insert_line(
-            CacheLevel::L1D,
-            line,
-            LineMeta::default(),
-            now,
-            who,
-            cores,
-            shared,
-            stats,
-            events,
-            tracer,
-        );
-        if !is_load {
-            mark_dirty(cores, who, line);
-        }
-        tracer.emit(TraceEvent::DemandMiss { line, cycle: now, latency: total });
-        return (total, false);
-    }
-    {
-        let s = stats.level_mut(CacheLevel::L2C);
-        if is_load {
-            s.load_misses += 1;
-        } else {
-            s.store_misses += 1;
-        }
-    }
-    latency +=
-        l2_lat + cores[who].l2_mshr.wait_for_free(now + latency, CacheLevel::L2C, tracer);
-
-    // ---- LLC ----
-    let llc_lat = shared.llc_lat;
-    {
-        let s = stats.level_mut(CacheLevel::Llc);
-        if is_load {
-            s.load_accesses += 1;
-        } else {
-            s.store_accesses += 1;
-        }
-    }
-    let llc_resolved = if let Some(ready) = shared.llc_mshr.inflight(now + latency, line) {
-        let s = stats.level_mut(CacheLevel::Llc);
-        if is_load {
-            s.load_misses += 1;
-        } else {
-            s.store_misses += 1;
-        }
-        if let Some(meta) = shared.llc.lookup(line) {
-            if meta.prefetched {
-                meta.prefetched = false;
-                stats.level_mut(CacheLevel::Llc).pf_useful += 1;
-                stats.level_mut(CacheLevel::Llc).pf_late += 1;
-                tracer.emit(TraceEvent::PrefetchUseful {
-                    line,
-                    level: CacheLevel::Llc,
-                    cycle: now,
-                    late: true,
-                });
-            }
-        }
-        Some(ready.saturating_sub(now).max(latency + llc_lat))
-    } else if let Some(meta) = shared.llc.lookup(line) {
-        if meta.prefetched {
-            meta.prefetched = false;
-            stats.level_mut(CacheLevel::Llc).pf_useful += 1;
-            tracer.emit(TraceEvent::PrefetchUseful {
-                line,
-                level: CacheLevel::Llc,
-                cycle: now,
-                late: false,
-            });
-        }
-        Some(latency + llc_lat)
-    } else {
-        None
-    };
-    if let Some(total) = llc_resolved {
-        let ready = now + total;
-        cores[who].l1_mshr.allocate(now, line, ready);
-        cores[who].l2_mshr.allocate(now, line, ready);
-        for level in [CacheLevel::L2C, CacheLevel::L1D] {
-            insert_line(
-                level,
-                line,
-                LineMeta::default(),
-                now,
-                who,
-                cores,
-                shared,
-                stats,
-                events,
-                tracer,
-            );
-        }
-        if !is_load {
-            mark_dirty(cores, who, line);
-        }
-        tracer.emit(TraceEvent::DemandMiss { line, cycle: now, latency: total });
-        return (total, false);
-    }
-    {
-        let s = stats.level_mut(CacheLevel::Llc);
-        if is_load {
-            s.load_misses += 1;
-        } else {
-            s.store_misses += 1;
-        }
-    }
-    latency +=
-        llc_lat + shared.llc_mshr.wait_for_free(now + latency, CacheLevel::Llc, tracer);
-
-    // ---- DRAM ----
-    let dram_lat = shared.dram.access(now + latency, line, tracer);
-    stats.dram_requests += 1;
-    let total = latency + dram_lat;
+    // Fill every level inside the supplier, outermost first, each with
+    // an MSHR entry that completes when the line arrives.
     let ready = now + total;
-    cores[who].l1_mshr.allocate(now, line, ready);
-    cores[who].l2_mshr.allocate(now, line, ready);
-    shared.llc_mshr.allocate(now, line, ready);
-    for level in [CacheLevel::Llc, CacheLevel::L2C, CacheLevel::L1D] {
+    for &level in CacheLevel::ALL[..found].iter().rev() {
+        level_mut(cores, shared, who, level).mshr.allocate(now, line, ready);
         insert_line(level, line, LineMeta::default(), now, who, cores, shared, stats, events, tracer);
     }
-    if !is_load {
-        mark_dirty(cores, who, line);
+    // A store dirties the freshly filled L1D copy. A store merged with
+    // an in-flight L1D fill filled nothing and leaves the copy as is.
+    if !is_load && found > 0 {
+        if let Some(meta) = level_mut(cores, shared, who, CacheLevel::L1D).cache.lookup(line) {
+            meta.dirty = true;
+        }
     }
     tracer.emit(TraceEvent::DemandMiss { line, cycle: now, latency: total });
     (total, false)
-}
-
-/// Mark the freshly filled L1D copy of `line` dirty (store fill).
-fn mark_dirty(cores: &mut [CoreMem], who: usize, line: LineAddr) {
-    if let Some(meta) = cores[who].l1d.lookup(line) {
-        meta.dirty = true;
-    }
 }
 
 /// Outcome of issuing a prefetch request.
@@ -564,71 +368,31 @@ pub fn prefetch_access<T: Tracer>(
     tracer.emit(TraceEvent::PrefetchIssued { line, level: fill, cycle: now, provenance });
 
     // Per-level directory presence, probed once (includes in-flight
-    // lines) — both the redundancy check and the fill-level selection
-    // below read this snapshot, so each directory is scanned exactly
-    // once per request.
-    let in_l1d = cores[who].l1d.contains(line);
-    let in_l2c = cores[who].l2c.contains(line);
-    let in_llc = shared.llc.contains(line);
-
-    // Innermost resident level.
-    let resident = if in_l1d {
-        Some(CacheLevel::L1D)
-    } else if in_l2c {
-        Some(CacheLevel::L2C)
-    } else if in_llc {
-        Some(CacheLevel::Llc)
-    } else {
-        None
-    };
-    if let Some(r) = resident {
-        if r <= fill {
-            stats.pf_redundant += 1;
-            tracer.emit(TraceEvent::PrefetchRedundant { line, level: fill, cycle: now, provenance });
-            return PrefetchOutcome::Redundant;
-        }
+    // lines): the redundancy check and the fill levels below read it.
+    let present =
+        CacheLevel::ALL.map(|level| level_mut(cores, shared, who, level).cache.contains(line));
+    let resident = CacheLevel::ALL.into_iter().find(|level| present[level.index()]);
+    if resident.is_some_and(|r| r <= fill) {
+        stats.pf_redundant += 1;
+        tracer.emit(TraceEvent::PrefetchRedundant { line, level: fill, cycle: now, provenance });
+        return PrefetchOutcome::Redundant;
     }
 
-    // Levels that will take a fill: the target and every outer level
-    // that misses (inclusive hierarchy — the paper relies on this:
-    // "prefetches for high-level caches will implicitly prefetch data
-    // to low-level caches", Section V-C). Computed up front, before any
-    // side effect, into fixed-size storage: admission must be able to
-    // reject the request without having touched the PQ or DRAM.
-    let mut fill_levels = [CacheLevel::L1D; 3];
-    let mut n_fills = 0;
-    for (level, present) in [
-        (CacheLevel::Llc, in_llc),
-        (CacheLevel::L2C, in_l2c),
-        (CacheLevel::L1D, in_l1d),
-    ] {
-        if level >= fill && !present {
-            fill_levels[n_fills] = level;
-            n_fills += 1;
-        }
-    }
-    let fill_levels = &fill_levels[..n_fills];
+    // Levels that will take a fill, outermost first: the target and
+    // every outer level that misses. Outer inserts cannot make `line`
+    // resident at an inner level (back-invalidation only touches the
+    // victim's copies), so `present` holds until the fills are done.
+    let fills = || CacheLevel::ALL.into_iter().rev().filter(|&l| l >= fill && !present[l.index()]);
 
     // Admission control: PQ space at the fill level, and MSHR space at
     // *every* level taking a fill, each leaving at least one entry for
     // demand requests (Section IV-B). Checking headroom only at the
     // fill level would let the outer-level allocations below silently
     // force-evict entries from a full file — occupancy beyond capacity
-    // without a modeled drop or stall.
-    let pq_free = match fill {
-        CacheLevel::L1D => cores[who].l1_pq.free(now),
-        CacheLevel::L2C => cores[who].l2_pq.free(now),
-        CacheLevel::Llc => shared.llc_pq.free(now),
-    };
-    let mshr_ok = pq_free > 0
-        && fill_levels.iter().all(|&level| {
-            let mshr_free = match level {
-                CacheLevel::L1D => cores[who].l1_mshr.free(now),
-                CacheLevel::L2C => cores[who].l2_mshr.free(now),
-                CacheLevel::Llc => shared.llc_mshr.free(now),
-            };
-            mshr_free > 1
-        });
+    // without a modeled drop or stall. Nothing is touched before this.
+    let pq_free = level_mut(cores, shared, who, fill).pq.free(now);
+    let mshr_ok =
+        pq_free > 0 && fills().all(|level| level_mut(cores, shared, who, level).mshr.free(now) > 1);
     if !mshr_ok {
         stats.pf_dropped += 1;
         let reason = if pq_free == 0 { DropReason::Pq } else { DropReason::Mshr };
@@ -636,48 +400,23 @@ pub fn prefetch_access<T: Tracer>(
         return PrefetchOutcome::Dropped;
     }
 
-    // Latency from the source to the fill level.
-    let mut latency = match fill {
-        CacheLevel::L1D => cores[who].l1_lat,
-        CacheLevel::L2C => cores[who].l2_lat,
-        CacheLevel::Llc => shared.llc_lat,
-    };
-    match resident {
-        Some(CacheLevel::L2C) => latency += cores[who].l2_lat,
-        Some(CacheLevel::Llc) => latency += shared.llc_lat,
-        None => {
-            latency += shared.llc_lat;
-            latency += shared.dram.access(now + latency, line, tracer);
-            stats.dram_requests += 1;
-        }
-        Some(CacheLevel::L1D) => unreachable!("redundant prefetch handled above"),
+    // Latency from the source to the fill level: the fill level's plus
+    // the source's (the LLC's on the way to DRAM).
+    let source = resident.unwrap_or(CacheLevel::Llc);
+    let mut latency = level_mut(cores, shared, who, fill).latency
+        + level_mut(cores, shared, who, source).latency;
+    if resident.is_none() {
+        latency += shared.dram.access(now + latency, line, tracer);
+        stats.dram_requests += 1;
     }
     let ready = now + latency;
-
-    match fill {
-        CacheLevel::L1D => {
-            cores[who].l1_pq.push(now, CacheLevel::L1D, tracer);
-        }
-        CacheLevel::L2C => {
-            cores[who].l2_pq.push(now, CacheLevel::L2C, tracer);
-        }
-        CacheLevel::Llc => {
-            shared.llc_pq.push(now, CacheLevel::Llc, tracer);
-        }
-    }
+    level_mut(cores, shared, who, fill).pq.push(now, fill, tracer);
 
     // Fill every admitted level, marking prefetch metadata and
-    // allocating MSHR entries at each newly filled level. Outer inserts
-    // cannot make `line` resident at an inner level (back-invalidation
-    // only touches the victim's copies), so the presence snapshot taken
-    // above is still valid here.
+    // allocating an MSHR entry at each.
     let meta = LineMeta { prefetched: true, pf_origin: fill, dirty: false };
-    for &level in fill_levels {
-        match level {
-            CacheLevel::L1D => cores[who].l1_mshr.allocate(now, line, ready),
-            CacheLevel::L2C => cores[who].l2_mshr.allocate(now, line, ready),
-            CacheLevel::Llc => shared.llc_mshr.allocate(now, line, ready),
-        }
+    for level in fills() {
+        level_mut(cores, shared, who, level).mshr.allocate(now, line, ready);
         insert_line(level, line, meta, now, who, cores, shared, stats, events, tracer);
         stats.level_mut(level).pf_fills += 1;
         tracer.emit(TraceEvent::PrefetchFill { line, level, cycle: now });
@@ -690,6 +429,7 @@ pub fn prefetch_access<T: Tracer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::tests::peek;
     use crate::config::SystemConfig;
     use pmp_obs::NullTracer;
 
@@ -707,17 +447,86 @@ mod tests {
         (vec![CoreMem::new(&cfg)], SharedMem::new(&cfg), SimStats::default(), MemEvents::default())
     }
 
+    /// Demand `LineAddr(100)` at cycle 1000, after a prefetch at cycle
+    /// 0 placed it at `source` (`None`: nowhere, so DRAM supplies it).
+    fn demand_from(source: Option<CacheLevel>, is_load: bool) -> ((u64, bool), Vec<CoreMem>, SimStats) {
+        let (mut cores, mut shared, mut stats, mut ev) = setup();
+        if let Some(level) = source {
+            let req = PrefetchRequest::new(LineAddr(100), level);
+            let out = prefetch_access(req, 0, 0, &mut cores, &mut shared, &mut stats, &mut ev, &mut NullTracer);
+            assert_eq!(out, PrefetchOutcome::Admitted);
+        }
+        let got =
+            demand_access(LineAddr(100), is_load, 1000, 0, &mut cores, &mut shared, &mut stats, &mut ev, &mut NullTracer);
+        (got, cores, stats)
+    }
+
     #[test]
     fn cold_miss_goes_to_dram() {
-        let (mut cores, mut shared, mut stats, mut ev) = setup();
-        let (lat, hit) =
-            demand_access(LineAddr(100), true, 0, 0, &mut cores, &mut shared, &mut stats, &mut ev, &mut NullTracer);
+        let ((lat, hit), _, stats) = demand_from(None, true);
         assert!(!hit);
         // 5 + 10 + 20 + (160 + 10) = 205
         assert_eq!(lat, 205);
         assert_eq!(stats.dram_requests, 1);
         assert_eq!(stats.level(CacheLevel::L1D).load_misses, 1);
         assert_eq!(stats.level(CacheLevel::Llc).load_misses, 1);
+    }
+
+    /// Each level the request passes adds its hit latency (L1D 5, L2C
+    /// 10, LLC 20) and DRAM adds 160 + 10; only an L1D copy is a hit.
+    /// A store leaves the L1D copy dirty, in place or after the fill.
+    #[test]
+    fn demand_latency_is_closed_form_per_source() {
+        let table = [
+            (Some(CacheLevel::L1D), 5),
+            (Some(CacheLevel::L2C), 5 + 10),
+            (Some(CacheLevel::Llc), 5 + 10 + 20),
+            (None, 5 + 10 + 20 + 170),
+        ];
+        for (source, latency) in table {
+            for is_load in [true, false] {
+                let (got, cores, _) = demand_from(source, is_load);
+                let hit = source == Some(CacheLevel::L1D);
+                assert_eq!(got, (latency, hit), "{source:?} is_load={is_load}");
+                let copy = peek(&cores[0].l1d.cache, LineAddr(100)).expect("L1D copy");
+                assert_eq!(copy.dirty, !is_load, "{source:?} is_load={is_load}");
+            }
+        }
+    }
+
+    /// Pins a timing asymmetry, to be fixed together with a
+    /// regeneration of `results/` since it moves IPC. L1D probes its
+    /// MSHR at issue and adds the TLB latency on top of the in-flight
+    /// wait, so a demand that misses the DTLB and merges with an L1D
+    /// fill pays both: `now + tlb + max(ready - now, l1)`. L2C and LLC
+    /// are probed when the request reaches them, with the TLB latency
+    /// already on the path, so there it overlaps the wait:
+    /// `now + max(ready - now, tlb + l1 + wait + l2)`.
+    #[test]
+    fn l1d_inflight_wait_stacks_the_tlb_latency() {
+        // Every DTLB miss pays the 8-cycle STLB latency; no page walk.
+        let cfg = SystemConfig {
+            tlb: crate::tlb::TlbConfig { stlb_latency: 8, walk_latency: 0, ..Default::default() },
+            ..SystemConfig::single_core()
+        };
+        let demand_during_prefetch = |fill| {
+            let (mut cores, mut shared) = (vec![CoreMem::new(&cfg)], SharedMem::new(&cfg));
+            let (mut stats, mut ev) = (SimStats::default(), MemEvents::default());
+            // Prefetches skip the TLB: in flight until 0 + fill latency
+            // + 20 (LLC) + 170 (DRAM).
+            let req = PrefetchRequest::new(LineAddr(7), fill);
+            prefetch_access(req, 0, 0, &mut cores, &mut shared, &mut stats, &mut ev, &mut NullTracer);
+            // A demand at 50 to the cold page: DTLB miss, 8 cycles.
+            let (lat, hit) =
+                demand_access(LineAddr(7), true, 50, 0, &mut cores, &mut shared, &mut stats, &mut ev, &mut NullTracer);
+            assert!(!hit);
+            assert_eq!(stats.level(fill).pf_late, 1, "{fill:?}: merged with the prefetch");
+            lat
+        };
+        // In flight at L1D until 195: 8 + max(195 - 50, 5).
+        assert_eq!(demand_during_prefetch(CacheLevel::L1D), 8 + 145);
+        // In flight at L2C until 200: max(200 - 50, 8 + 5 + 0 + 10).
+        assert_eq!(demand_during_prefetch(CacheLevel::L2C), 150);
     }
 
     #[test]
@@ -840,8 +649,8 @@ mod tests {
                 &mut NullTracer,
             );
         }
-        assert!(!cores[0].l1d.contains(LineAddr(0)));
-        assert!(cores[0].l2c.contains(LineAddr(0)));
+        assert!(!cores[0].l1d.cache.contains(LineAddr(0)));
+        assert!(cores[0].l2c.cache.contains(LineAddr(0)));
         // Prefetch back into L1D: cheap (L2 source), admitted.
         let out = prefetch_access(
             PrefetchRequest::new(LineAddr(0), CacheLevel::L1D),
@@ -906,7 +715,7 @@ mod tests {
                 &mut NullTracer,
             );
         }
-        assert!(!cores[0].l1d.contains(LineAddr(0)));
+        assert!(!cores[0].l1d.cache.contains(LineAddr(0)));
         assert_eq!(stats.level(CacheLevel::L1D).pf_useless, 1);
         assert!(ev.feedback.contains(&(LineAddr(0), FeedbackKind::Useless)));
     }
@@ -956,9 +765,9 @@ mod tests {
             &mut NullTracer,
         );
         // Line 0 was evicted from LLC and must be gone from L1D too.
-        assert!(!shared.llc.contains(LineAddr(0)));
-        assert!(!cores[0].l1d.contains(LineAddr(0)));
-        assert!(!cores[0].l2c.contains(LineAddr(0)));
+        assert!(!shared.llc.cache.contains(LineAddr(0)));
+        assert!(!cores[0].l1d.cache.contains(LineAddr(0)));
+        assert!(!cores[0].l2c.cache.contains(LineAddr(0)));
         // The back-invalidation must surface as an L1D eviction event so
         // the prefetcher's on_evict hook sees the line leave.
         assert!(
@@ -1006,7 +815,7 @@ mod tests {
         assert_eq!(outcomes[1], PrefetchOutcome::Dropped);
         assert_eq!(stats.pf_dropped, 1);
         // Occupancy never exceeded capacity at any level.
-        assert!(cores[0].mshr_occupancy(0)[1] <= 2);
+        assert!(occupancy(&mut cores, &mut shared, 0, 0).1[1] <= 2);
         // The drop happened at admission: no PQ entry or DRAM traffic
         // for the rejected request.
         assert_eq!(stats.dram_requests, 1);
@@ -1026,9 +835,9 @@ mod tests {
             &mut NullTracer,
         );
         assert_eq!(out, PrefetchOutcome::Admitted);
-        assert!(!cores[0].l1d.contains(LineAddr(9)));
-        assert!(cores[0].l2c.contains(LineAddr(9)));
-        assert!(shared.llc.contains(LineAddr(9)));
+        assert!(!cores[0].l1d.cache.contains(LineAddr(9)));
+        assert!(cores[0].l2c.cache.contains(LineAddr(9)));
+        assert!(shared.llc.cache.contains(LineAddr(9)));
         assert_eq!(stats.level(CacheLevel::L1D).pf_fills, 0);
         assert_eq!(stats.level(CacheLevel::L2C).pf_fills, 1);
         assert_eq!(stats.level(CacheLevel::Llc).pf_fills, 1);
@@ -1038,6 +847,7 @@ mod tests {
 #[cfg(test)]
 mod writeback_tests {
     use super::*;
+    use crate::cache::tests::peek;
     use crate::config::SystemConfig;
     use pmp_obs::NullTracer;
     use pmp_types::{CacheLevel, LineAddr};
@@ -1055,7 +865,7 @@ mod writeback_tests {
         let (mut cores, mut shared, mut stats, mut ev) = setup();
         // Store to line 0 (cold miss, write-allocate, marked dirty).
         demand_access(LineAddr(0), false, 0, 0, &mut cores, &mut shared, &mut stats, &mut ev, &mut NullTracer);
-        assert!(cores[0].l1d.peek(LineAddr(0)).expect("resident").dirty);
+        assert!(peek(&cores[0].l1d.cache, LineAddr(0)).expect("resident").dirty);
         // Thrash the L1D set so line 0 is evicted.
         for i in 1..=12u64 {
             demand_access(
@@ -1070,10 +880,10 @@ mod writeback_tests {
                 &mut NullTracer,
             );
         }
-        assert!(!cores[0].l1d.contains(LineAddr(0)));
+        assert!(!cores[0].l1d.cache.contains(LineAddr(0)));
         assert_eq!(stats.level(CacheLevel::L1D).writebacks, 1);
         // The dirtiness propagated to the L2 copy.
-        assert!(cores[0].l2c.peek(LineAddr(0)).expect("L2 copy").dirty);
+        assert!(peek(&cores[0].l2c.cache, LineAddr(0)).expect("L2 copy").dirty);
         // No DRAM write yet — the line is still on chip.
         assert_eq!(stats.dram_writes, 0);
     }
@@ -1082,7 +892,7 @@ mod writeback_tests {
     fn loads_never_dirty_lines() {
         let (mut cores, mut shared, mut stats, mut ev) = setup();
         demand_access(LineAddr(7), true, 0, 0, &mut cores, &mut shared, &mut stats, &mut ev, &mut NullTracer);
-        assert!(!cores[0].l1d.peek(LineAddr(7)).expect("resident").dirty);
+        assert!(!peek(&cores[0].l1d.cache, LineAddr(7)).expect("resident").dirty);
         let _ = stats;
     }
 
@@ -1110,7 +920,7 @@ mod writeback_tests {
         let before = shared.dram.requests();
         demand_access(LineAddr(2), true, 1000, 0, &mut cores, &mut shared, &mut stats, &mut ev, &mut NullTracer);
         demand_access(LineAddr(4), true, 2000, 0, &mut cores, &mut shared, &mut stats, &mut ev, &mut NullTracer);
-        assert!(!shared.llc.contains(LineAddr(0)));
+        assert!(!shared.llc.cache.contains(LineAddr(0)));
         assert_eq!(stats.dram_writes, 1, "dirty victim must be written back");
         // The write consumed a DRAM request slot beyond the two demand reads.
         assert_eq!(shared.dram.requests(), before + 3);

@@ -40,6 +40,18 @@ impl LevelStats {
         self.load_misses + self.store_misses
     }
 
+    /// Count one demand access as a load or a store, and as a miss
+    /// when `miss` is set.
+    pub(crate) fn count_demand(&mut self, is_load: bool, miss: bool) {
+        let (accesses, misses) = if is_load {
+            (&mut self.load_accesses, &mut self.load_misses)
+        } else {
+            (&mut self.store_accesses, &mut self.store_misses)
+        };
+        *accesses += 1;
+        *misses += u64::from(miss);
+    }
+
     /// Prefetch accuracy at this level: useful / (useful + useless).
     /// Returns `None` when no prefetch outcome has been observed.
     pub fn accuracy(&self) -> Option<f64> {
